@@ -1,113 +1,31 @@
 #!/usr/bin/env bash
-# CI gate for the TxCache reproduction workspace.
-#
-# Runs the same checks a hosted pipeline would, fully offline (all
-# dependencies are vendored path crates):
-#   1. rustfmt in check mode
-#   2. clippy with warnings denied (all targets, incl. vendored stubs)
-#   3. build of every target (bins and benches included)
-#   4. the full test suite
-#   5. an explicit compile check of the examples (also covered by
-#      --all-targets, kept as a named step so a broken example is called out)
-#   6. optionally, the chaos smoke gate (--chaos-smoke): a short bounded
-#      chaos sweep over a fixed seed set — real txcached servers and the
-#      remote client joined by the deterministic in-process SimNet, with
-#      frame drops/duplicates/reorders/resets and a scripted partition,
-#      verified by the transactional-consistency history checker on both
-#      cache backends. The sweep ends with the replication profile: R=2
-#      replica sets, a scripted primary kill mid-workload, zero checker
-#      violations, a bounded hit-rate dip, and a bit-for-bit replay —
-#      followed by the crash-restart profile: a durable mvdb (group-
-#      committed WAL) crashed mid-workload after silently committed
-#      transfers, recovered into the same warm caches, with the history
-#      checker proving the recovered invalidation horizon kept every cache
-#      honest, a bit-for-bit replay of the whole run, and a mutation canary
-#      (horizon rebuild skipped) that must make the checker fail.
-#      Failures print the seed and a CHAOS_SEED=... repro command; set
-#      CHAOS_SEED to pin the sweep to one seed.
-#   7. optionally, the network smoke gate (--net-smoke): starts a real
-#      txcached server (event-driven loop, explicit --shards) on an
-#      ephemeral loopback port, probes it with `txcached --ping`, runs the
-#      remote-backend consistency test against it via TXCACHED_ADDRS, and
-#      tears the server down again. A second server is then started under
-#      a deliberately tiny `ulimit -n` and flooded with more connections
-#      than it has descriptors: fd exhaustion must park the accept loop
-#      (EMFILE backoff) rather than crash the process, and once the flood
-#      closes, `--ping` must answer again over the recovered loop.
-#   8. optionally, the bench-regression smoke gate (--bench-smoke): the
-#      fig5_throughput thread sweep compared against a baseline JSON, the
-#      cache_scaling sweep (mixed lookup/insert throughput against one
-#      sharded cache node, in-process) compared against its own baseline,
-#      the high_connection connection-ramp sweep (one event-driven
-#      txcached, 1..128 concurrent connections) compared against its
-#      baseline, and the net_loopback replicated-write phase (an R=2
-#      client fanning every Put to its full replica set over real
-#      loopback servers; write amplification gated in-binary at <= 3.5x
-#      and the fill-rate pair tracked against a baseline). The baselines
-#      default to the checked-in
-#      crates/bench/BENCH_fig5.baseline.json,
-#      crates/bench/BENCH_cache_scaling.baseline.json,
-#      crates/bench/BENCH_high_connection.baseline.json and
-#      crates/bench/BENCH_net_replication.baseline.json and can be
-#      overridden with the BENCH_BASELINE / CACHE_BENCH_BASELINE /
-#      HIGH_CONN_BENCH_BASELINE / NET_REPL_BENCH_BASELINE environment
-#      variables. The step also runs the durability sweep (fig5_throughput
-#      --durability: committed writes against a real durable mvdb under
-#      Never / GroupCommit / Always fsync policies) against
-#      crates/bench/BENCH_fig5_durability.baseline.json (override with
-#      DURABILITY_BENCH_BASELINE) at the standard 20% ceiling, and the
-#      query_paths fast-path sweep (index-assisted top-N / MIN-MAX /
-#      COUNT / IN-list plans vs the forced seq scan; >= 3x top-N speedup
-#      enforced in-binary) against
-#      crates/bench/BENCH_query_paths.baseline.json (override with
-#      QUERY_PATHS_BENCH_BASELINE). Absolute txn/s is only compared when the host has the
-#      same CPU count the baseline was
-#      recorded with (the hosted workflow caches a runner-class baseline
-#      for this); the >=1.5x 4-thread speedup floor applies on any host
-#      with at least 4 CPUs (connection ramps carry no speedup floor —
-#      flat is the win). The step ends with the instrumentation-overhead
-#      gate: cache_scaling's wire-path A/B phase (metrics on vs off,
-#      median paired per-op cost) must stay within 5%.
-#   9. optionally, the observability smoke gate (--obs-smoke): starts a
-#      real txcached on an ephemeral loopback port, drives traffic and
-#      scrapes it over the wire via the obs_smoke integration test
-#      (Metrics opcode answers with nonzero per-opcode latency
-#      percentiles, counters monotone across scrapes), exercises the
-#      `txcached --metrics` / `--prom` CLI scrape against the live node,
-#      and tears it down.
-#
-# Every step is timed, and a summary is printed at the end; on failure the
-# summary names the step that failed so workflow logs show the broken gate
-# at a glance.
+# CI gate for the TxCache reproduction workspace, fully offline (all
+# dependencies are vendored path crates). Every step is timed and a summary
+# names the step that failed. What each gate covers is described in
+# README.md: "Quickstart" (the gates, the hosted pipeline, refreshing the
+# bench baselines), "Testing & chaos", "Query planning & fast paths",
+# "Observability" and "Durability & crash recovery".
 #
 # Usage: ./ci.sh [--no-clippy] [--profile debug|release] [--bench-smoke]
 #                [--net-smoke] [--chaos-smoke] [--obs-smoke]
 #
-#   --profile release (default)  build and test with --release
-#   --profile debug              build and test the dev profile
-#   --bench-smoke                run the throughput-regression gate (builds
-#                                the release bench binary if needed)
-#   --net-smoke                  run the txcached loopback network gate
-#   --chaos-smoke                run the bounded chaos sweep (both backends,
-#                                fixed seeds, history checker)
-#   --obs-smoke                  run the live-metrics scrape gate against a
-#                                real txcached
-#
-# To refresh the bench baselines after an intentional perf change:
-#   cargo build --release -p bench --bin fig5_throughput --bin cache_scaling \
-#       --bin high_connection --bin net_loopback --bin query_paths
-#   target/release/fig5_throughput --scaling-only --threads 1,4 \
-#       --requests 30000 --json crates/bench/BENCH_fig5.baseline.json
-#   target/release/cache_scaling --threads 1,4 --requests 500000 \
-#       --skip-tcp --json crates/bench/BENCH_cache_scaling.baseline.json
-#   target/release/high_connection --connections 1,16,64,128 \
-#       --requests 20000 --json crates/bench/BENCH_high_connection.baseline.json
-#   target/release/net_loopback --keys 2048 \
-#       --json crates/bench/BENCH_net_replication.baseline.json
-#   target/release/fig5_throughput --durability --requests 2000 \
-#       --json crates/bench/BENCH_fig5_durability.baseline.json
-#   target/release/query_paths --requests 2000 \
-#       --json crates/bench/BENCH_query_paths.baseline.json
+#   (always)           fmt --check, clippy -D warnings, build of every
+#                      target, the workspace tests, an examples compile
+#                      check, and the tests of the e2e_rubis benchmark
+#                      package (outside the workspace)
+#   --profile release  (default) build and test with --release
+#   --profile debug    build and test the dev profile
+#   --chaos-smoke      bounded chaos sweep: extra seeds on both backends,
+#                      replicated failover, crash-restart recovery
+#                      (CHAOS_SEED=<n> pins it to one seed)
+#   --net-smoke        real txcached on loopback: ping, remote consistency
+#                      test, fd-exhaustion probe
+#   --obs-smoke        live-metrics scrape of a real txcached
+#   --bench-smoke      throughput-regression gates against the baselines in
+#                      crates/bench/BENCH_*.baseline.json (override with
+#                      BENCH_BASELINE, CACHE_BENCH_BASELINE,
+#                      HIGH_CONN_BENCH_BASELINE, NET_REPL_BENCH_BASELINE,
+#                      DURABILITY_BENCH_BASELINE, QUERY_PATHS_BENCH_BASELINE)
 
 set -uo pipefail
 cd "$(dirname "$0")"
@@ -182,6 +100,13 @@ else
     run_step "cargo test" cargo test --workspace --quiet
     run_step "examples compile check" cargo build --examples
 fi
+
+# The BENCHMARK.json benchmark is a package of its own, outside the
+# workspace, so nothing above builds it. Its check_smoke test runs all four
+# workloads at tiny counts with every correctness check (always --release:
+# that is how the benchmark is built and run).
+run_step "e2e_rubis benchmark package tests" \
+    cargo test --release --offline --quiet --manifest-path e2e_rubis/Cargo.toml
 
 if [ "$CHAOS_SMOKE" -eq 1 ]; then
     # The bounded chaos sweep. The regular test step already runs the full

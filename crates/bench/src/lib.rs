@@ -1,9 +1,9 @@
 //! Shared helpers for the figure/table regeneration binaries.
 //!
 //! Each binary in `src/bin/` regenerates one table or figure from the paper's
-//! evaluation (see `DESIGN.md` §2 and `EXPERIMENTS.md`). They accept a small
-//! set of command-line flags so the full-scale experiments can be run when
-//! more time is available:
+//! evaluation (see the README sections "Regenerating the paper's figures" and,
+//! for the bench gates, "Quickstart"). They accept a small set of command-line
+//! flags so the full-scale experiments can be run when more time is available:
 //!
 //! * `--scale <f>`    — dataset scale factor (default 0.01 = 1% of the paper's sizes)
 //! * `--requests <n>` — measured requests per experiment point (default 2000)

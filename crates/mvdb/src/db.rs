@@ -76,9 +76,9 @@ use txtypes::{
 };
 
 use crate::buffer::{BufferStats, SharedBuffer};
-use crate::exec::{execute_plan, ExecOptions, PageCounts, QueryResult};
+use crate::exec::{execute_plan, matching_slots, ExecOptions, PageCounts, QueryResult};
 use crate::invalidation::{InvalidationBus, InvalidationMessage};
-use crate::plan::{choose_access_path, plan_query, AccessPath, QueryPlan};
+use crate::plan::{keyed_tag, plan_query, AccessPath, QueryPlan};
 use crate::query::{Predicate, SelectQuery};
 use crate::schema::TableSchema;
 use crate::snapshot::{PinRegistry, SnapshotId};
@@ -884,31 +884,38 @@ impl Database {
     /// assert which access path a query takes (e.g. "no hot query plans a
     /// `SeqScan`"). Takes the same shared table locks as `query`.
     pub fn plan_for(&self, query: &SelectQuery) -> Result<QueryPlan> {
+        self.with_query_tables(query, |outer, inner| plan_query(query, outer, inner))
+    }
+
+    /// Runs `f` on the table(s) `query` reads — the outer table and, for a
+    /// join, the inner one — under shared locks taken in sorted table-name
+    /// order (the lock-order rule).
+    fn with_query_tables<R>(
+        &self,
+        query: &SelectQuery,
+        f: impl FnOnce(&Table, Option<&Table>) -> Result<R>,
+    ) -> Result<R> {
         let tables = self.tables.read();
         let outer_shard = Self::shard_of(&tables, &query.table)?;
         match &query.join {
             Some(join) if join.table != query.table => {
                 let inner_shard = Self::shard_of(&tables, &join.table)?;
-                let outer_first = query.table <= join.table;
-                let (first, second) = if outer_first {
-                    (outer_shard, inner_shard)
+                if query.table <= join.table {
+                    let outer = outer_shard.read();
+                    let inner = inner_shard.read();
+                    f(&outer, Some(&inner))
                 } else {
-                    (inner_shard, outer_shard)
-                };
-                let g1 = first.read();
-                let g2 = second.read();
-                let (outer_t, inner_t): (&Table, &Table) =
-                    if outer_first { (&g1, &g2) } else { (&g2, &g1) };
-                plan_query(query, outer_t, Some(inner_t))
+                    let inner = inner_shard.read();
+                    let outer = outer_shard.read();
+                    f(&outer, Some(&inner))
+                }
             }
+            // Self-join: one shared lock serves both sides.
             Some(_) => {
                 let guard = outer_shard.read();
-                plan_query(query, &guard, Some(&guard))
+                f(&guard, Some(&guard))
             }
-            None => {
-                let guard = outer_shard.read();
-                plan_query(query, &guard, None)
-            }
+            None => f(&outer_shard.read(), None),
         }
     }
 
@@ -918,65 +925,12 @@ impl Database {
             let tx = handle.lock();
             (tx.snapshot, Some(tx.id))
         };
-
-        let tables = self.tables.read();
-        let outer_shard = Self::shard_of(&tables, &query.table)?;
-        let result = match &query.join {
-            Some(join) if join.table != query.table => {
-                let inner_shard = Self::shard_of(&tables, &join.table)?;
-                // Shared locks in sorted table-name order (lock-order rule).
-                let outer_first = query.table <= join.table;
-                let (first, second) = if outer_first {
-                    (outer_shard, inner_shard)
-                } else {
-                    (inner_shard, outer_shard)
-                };
-                let g1 = first.read();
-                let g2 = second.read();
-                let (outer_t, inner_t): (&Table, &Table) =
-                    if outer_first { (&g1, &g2) } else { (&g2, &g1) };
-                let plan = plan_query(query, outer_t, Some(inner_t))?;
-                self.plan_counters.bump(&plan.access);
-                execute_plan(
-                    &plan,
-                    outer_t,
-                    Some(inner_t),
-                    snapshot,
-                    me,
-                    &self.buffer,
-                    &self.config.exec,
-                )?
-            }
-            Some(_) => {
-                // Self-join: one shared lock serves both sides.
-                let guard = outer_shard.read();
-                let plan = plan_query(query, &guard, Some(&guard))?;
-                self.plan_counters.bump(&plan.access);
-                execute_plan(
-                    &plan,
-                    &guard,
-                    Some(&guard),
-                    snapshot,
-                    me,
-                    &self.buffer,
-                    &self.config.exec,
-                )?
-            }
-            None => {
-                let guard = outer_shard.read();
-                let plan = plan_query(query, &guard, None)?;
-                self.plan_counters.bump(&plan.access);
-                execute_plan(
-                    &plan,
-                    &guard,
-                    None,
-                    snapshot,
-                    me,
-                    &self.buffer,
-                    &self.config.exec,
-                )?
-            }
-        };
+        let result = self.with_query_tables(query, |outer, inner| {
+            let plan = plan_query(query, outer, inner)?;
+            self.plan_counters.bump(&plan.access);
+            let opts = &self.config.exec;
+            execute_plan(&plan, outer, inner, snapshot, me, &self.buffer, opts)
+        })?;
         self.stats.queries.bump();
         Ok(result)
     }
@@ -1027,42 +981,7 @@ impl Database {
         predicate: &Predicate,
         assignments: &[(String, Value)],
     ) -> Result<usize> {
-        let handle = self.txn_handle(token)?;
-        let (txid, snapshot) = Self::writable_txn_info(&handle)?;
-        let tables = self.tables.read();
-        let shard = Self::shard_of(&tables, table)?;
-        let mut t = shard.write();
-
-        let targets = Self::visible_matching_slots(&t, predicate, snapshot, txid, &self.buffer)?;
-        let mut updated = 0;
-        let mut tx = handle.lock();
-        for slot in targets {
-            self.checked_write_conflict(&t, slot, snapshot, txid)?;
-            let old_version = t
-                .get(slot)
-                .ok_or_else(|| Error::Query("target row vanished".into()))?;
-            let row_id = old_version.row_id;
-            let mut new_values = old_version.values.clone();
-            let old_values = old_version.values.clone();
-            for (column, value) in assignments {
-                let idx = t.schema().column_index(column)?;
-                new_values[idx] = value.clone();
-            }
-            // Mark the old version deleted and insert the new one.
-            if let Some(v) = t.get_mut(slot) {
-                v.deleted = Some(Stamp::Pending(txid));
-            }
-            let new_slot =
-                t.insert_version(TupleVersion::pending(row_id, new_values.clone(), txid))?;
-            Self::collect_tags_for_values(&t, &old_values, &mut tx.pending_tags);
-            Self::collect_tags_for_values(&t, &new_values, &mut tx.pending_tags);
-            tx.deleted_slots.push((table.to_string(), slot));
-            tx.created_slots.push((table.to_string(), new_slot));
-            tx.written_rows.push((table.to_string(), row_id));
-            tx.note_row_modified(table);
-            updated += 1;
-        }
-        drop(tx);
+        let updated = self.write_matching(token, table, predicate, Some(assignments))?;
         self.stats.updates.add(updated as u64);
         Ok(updated)
     }
@@ -1070,34 +989,59 @@ impl Database {
     /// Deletes all rows of `table` matching `predicate`. Returns the number
     /// of rows deleted.
     pub fn delete(&self, token: TxnToken, table: &str, predicate: &Predicate) -> Result<usize> {
+        let deleted = self.write_matching(token, table, predicate, None)?;
+        self.stats.deletes.add(deleted as u64);
+        Ok(deleted)
+    }
+
+    /// UPDATE (with `assignments`) or DELETE (without) of every row of
+    /// `table` the transaction can see that matches `predicate`. Targets are
+    /// located the way a SELECT with that predicate would locate them (same
+    /// access path, same page charges); each is marked deleted by this
+    /// transaction and, for an update, superseded by a new pending version.
+    fn write_matching(
+        &self,
+        token: TxnToken,
+        table: &str,
+        predicate: &Predicate,
+        assignments: Option<&[(String, Value)]>,
+    ) -> Result<usize> {
         let handle = self.txn_handle(token)?;
         let (txid, snapshot) = Self::writable_txn_info(&handle)?;
         let tables = self.tables.read();
         let shard = Self::shard_of(&tables, table)?;
         let mut t = shard.write();
 
-        let targets = Self::visible_matching_slots(&t, predicate, snapshot, txid, &self.buffer)?;
-        let mut deleted = 0;
+        let opts = &self.config.exec;
+        let targets = matching_slots(&t, predicate, snapshot, txid, &self.buffer, opts)?;
         let mut tx = handle.lock();
-        for slot in targets {
-            self.checked_write_conflict(&t, slot, snapshot, txid)?;
-            let values = t
+        for &slot in &targets {
+            self.check_write_conflict(&t, slot, snapshot, txid)?;
+            let old = t
                 .get(slot)
-                .map(|v| v.values.clone())
                 .ok_or_else(|| Error::Query("target row vanished".into()))?;
-            let row_id = t.get(slot).map(|v| v.row_id).unwrap_or_default();
+            let (row_id, old_values) = (old.row_id, old.values.clone());
+            let mut new_values = None;
+            if let Some(assignments) = assignments {
+                let values = new_values.insert(old_values.clone());
+                for (column, value) in assignments {
+                    values[t.schema().column_index(column)?] = value.clone();
+                }
+            }
             if let Some(v) = t.get_mut(slot) {
                 v.deleted = Some(Stamp::Pending(txid));
             }
-            Self::collect_tags_for_values(&t, &values, &mut tx.pending_tags);
+            Self::collect_tags_for_values(&t, &old_values, &mut tx.pending_tags);
             tx.deleted_slots.push((table.to_string(), slot));
+            if let Some(new_values) = new_values {
+                Self::collect_tags_for_values(&t, &new_values, &mut tx.pending_tags);
+                let new_slot = t.insert_version(TupleVersion::pending(row_id, new_values, txid))?;
+                tx.created_slots.push((table.to_string(), new_slot));
+            }
             tx.written_rows.push((table.to_string(), row_id));
             tx.note_row_modified(table);
-            deleted += 1;
         }
-        drop(tx);
-        self.stats.deletes.add(deleted as u64);
-        Ok(deleted)
+        Ok(targets.len())
     }
 
     // ------------------------------------------------------------------
@@ -1236,79 +1180,12 @@ impl Database {
     // Internal helpers
     // ------------------------------------------------------------------
 
-    /// Finds the slots of versions visible to (`snapshot`, `txid`) that match
-    /// `predicate`, using an index when the predicate allows it.
-    fn visible_matching_slots(
-        table: &Table,
-        predicate: &Predicate,
-        snapshot: Timestamp,
-        txid: TxnId,
-        buffer: &SharedBuffer,
-    ) -> Result<Vec<Slot>> {
-        let access = choose_access_path(predicate, table);
-        let candidates: Vec<Slot> = match &access {
-            AccessPath::IndexEq { column, value } => {
-                buffer.access(
-                    &format!("{}#idx:{}", table.schema().name, column),
-                    table.index_page_of(column, value),
-                );
-                table.index_eq(column, value)?
-            }
-            AccessPath::IndexIn { column, values } => {
-                let mut slots = Vec::new();
-                for value in values {
-                    buffer.access(
-                        &format!("{}#idx:{}", table.schema().name, column),
-                        table.index_page_of(column, value),
-                    );
-                    slots.extend(table.index_eq(column, value)?);
-                }
-                slots.sort_unstable();
-                slots.dedup();
-                slots
-            }
-            AccessPath::IndexRange { column, lo, hi }
-            | AccessPath::IndexOrdered { column, lo, hi, .. }
-            | AccessPath::IndexEndpoint { column, lo, hi, .. } => {
-                table.index_range(column, lo.as_ref(), hi.as_ref())?
-            }
-            AccessPath::SeqScan => table.scan_slots().collect(),
-        };
-        let mut out = Vec::new();
-        for slot in candidates {
-            let Some(version) = table.get(slot) else {
-                continue;
-            };
-            buffer.access(&table.schema().name, table.heap_page_of(slot));
-            if version.visible_to(snapshot, Some(txid))
-                && predicate.eval(table.schema(), &version.values)?
-            {
-                out.push(slot);
-            }
-        }
-        Ok(out)
-    }
-
-    /// Runs the first-updater-wins conflict check, counting detected
-    /// serialization failures.
-    fn checked_write_conflict(
-        &self,
-        table: &Table,
-        slot: Slot,
-        snapshot: Timestamp,
-        txid: TxnId,
-    ) -> Result<()> {
-        let result = Self::check_write_conflict(table, slot, snapshot, txid);
-        if matches!(result, Err(Error::SerializationFailure(_))) {
-            self.stats.serialization_failures.bump();
-        }
-        result
-    }
-
-    /// Eager first-updater-wins conflict detection: fail if any other
-    /// transaction has a pending write on the row, or if a newer committed
-    /// version exists than the writer's snapshot.
+    /// Eager first-updater-wins conflict detection: fail (and count a
+    /// serialization failure) if any other transaction has a pending write on
+    /// the row, or if a newer committed version exists than the writer's
+    /// snapshot.
     fn check_write_conflict(
+        &self,
         table: &Table,
         slot: Slot,
         snapshot: Timestamp,
@@ -1323,24 +1200,21 @@ impl Database {
             };
             let pending_by_other = matches!(v.created, Stamp::Pending(id) if id != txid)
                 || matches!(v.deleted, Some(Stamp::Pending(id)) if id != txid);
-            if pending_by_other {
-                return Err(Error::SerializationFailure(format!(
-                    "row {} in '{}' has an uncommitted change from another transaction",
-                    version.row_id,
-                    table.schema().name
-                )));
-            }
             let newer_commit = v.created.committed_at().is_some_and(|ts| ts > snapshot)
                 || v.deleted
                     .and_then(|s| s.committed_at())
                     .is_some_and(|ts| ts > snapshot);
-            if newer_commit {
-                return Err(Error::SerializationFailure(format!(
-                    "row {} in '{}' was modified after this transaction's snapshot",
-                    version.row_id,
-                    table.schema().name
-                )));
-            }
+            let conflict = if pending_by_other {
+                "has an uncommitted change from another transaction"
+            } else if newer_commit {
+                "was modified after this transaction's snapshot"
+            } else {
+                continue;
+            };
+            self.stats.serialization_failures.bump();
+            let (row, name) = (version.row_id, &table.schema().name);
+            let message = format!("row {row} in '{name}' {conflict}");
+            return Err(Error::SerializationFailure(message));
         }
         Ok(())
     }
@@ -1349,14 +1223,11 @@ impl Database {
     /// ("each tuple added, deleted, or modified yields one invalidation tag
     /// for each index it is listed in", §5.3).
     fn collect_tags_for_values(table: &Table, values: &[Value], tags: &mut TagSet) {
-        for index in &table.schema().indexes {
-            if let Ok(idx) = table.schema().column_index(&index.column) {
-                let value = &values[idx];
-                if !value.is_null() {
-                    tags.insert(InvalidationTag::keyed(
-                        &table.schema().name,
-                        format!("{}={}", index.column, value.render_key()),
-                    ));
+        let schema = table.schema();
+        for index in &schema.indexes {
+            if let Ok(idx) = schema.column_index(&index.column) {
+                if !values[idx].is_null() {
+                    tags.insert(keyed_tag(&schema.name, &index.column, &values[idx]));
                 }
             }
         }
@@ -2282,6 +2153,47 @@ mod tests {
         assert!(db.buffer_stats().accesses() > 0);
         db.reset_buffer_stats();
         assert_eq!(db.buffer_stats().accesses(), 0);
+    }
+
+    #[test]
+    fn range_dml_charges_the_same_pages_as_the_equivalent_select() {
+        let db = setup();
+        let in_range =
+            Predicate::cmp("id", CmpOp::Ge, 3i64).and(Predicate::cmp("id", CmpOp::Le, 6i64));
+        let select = SelectQuery::table("users").filter(in_range.clone());
+        assert_eq!(db.plan_for(&select).unwrap().access.label(), "index_range");
+        // Buffer accesses caused by `f`.
+        let charged = |f: &dyn Fn()| {
+            db.reset_buffer_stats();
+            f();
+            db.buffer_stats().accesses()
+        };
+
+        // Four key groups walked (one index page each) + four heap versions.
+        let selected = charged(&|| {
+            let out = db.query_ro_once(&select).unwrap();
+            assert_eq!(out.result.pages.total(), 8);
+        });
+        assert_eq!(selected, 8);
+        let updated = charged(&|| {
+            let txn = db.begin_rw().unwrap();
+            let bump = [("rating".to_string(), Value::Int(1))];
+            assert_eq!(db.update(txn, "users", &in_range, &bump).unwrap(), 4);
+            db.commit(txn).unwrap();
+        });
+        assert_eq!(updated, selected, "UPDATE must charge the index walk too");
+
+        // The update doubled the versions filed under the same four keys.
+        let selected = charged(&|| {
+            db.query_ro_once(&select).unwrap();
+        });
+        assert_eq!(selected, 4 + 8);
+        let deleted = charged(&|| {
+            let txn = db.begin_rw().unwrap();
+            assert_eq!(db.delete(txn, "users", &in_range).unwrap(), 4);
+            db.commit(txn).unwrap();
+        });
+        assert_eq!(deleted, selected, "DELETE must charge the index walk too");
     }
 
     #[test]

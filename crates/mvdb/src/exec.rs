@@ -1,22 +1,43 @@
 //! Query execution with validity-interval and invalidation-tag tracking.
 //!
-//! The executor materializes results (the workloads' result sets are small),
-//! applies snapshot-isolation visibility checks against the query's snapshot
-//! timestamp, and — when validity tracking is enabled — accumulates the
-//! result-tuple validity and the invalidity mask described in §5.2. It also
-//! charges every heap and index page it touches to the simulated buffer
-//! manager so the harness can model in-memory vs disk-bound databases.
+//! Every read — SELECT of any shape, either side of a join, and the target
+//! selection of UPDATE/DELETE — runs through one pipeline of three stages:
+//!
+//! 1. **Candidate source** ([`Source`]): turns an [`AccessPath`] into an
+//!    iterator of `(group key, slots)`. It is the only code that charges heap
+//!    and index pages to the simulated buffer manager, so the harness can
+//!    model in-memory vs disk-bound databases. Ordered and endpoint index
+//!    walks stream key groups lazily, in the requested direction; every other
+//!    path fetches its candidates and, when the shape asks for it, groups
+//!    them by the same column — so the forced-`SeqScan` reference meets the
+//!    same versions in the same order as the index walk it is compared to.
+//! 2. **Visibility gate** ([`Gate::admit`]): applies the predicate (plus the
+//!    join-key conjunct on the inner side of a join) and the snapshot-
+//!    isolation visibility check, in the order
+//!    [`ExecOptions::predicate_before_visibility`] asks for, and feeds the
+//!    query's one [`ValidityTracker`] — result-tuple validity and invalidity
+//!    mask, §5.2.
+//! 3. **Shape sink** ([`Sink`]): what becomes of an admitted version — a row
+//!    (ORDER BY, LIMIT, projection), a COUNT, a SUM/AVG fold, a MIN/MAX, the
+//!    outer rows of a join, or a DML target slot.
+//!
+//! The planner's access path picks the source; the query's shape picks the
+//! sink and whether the source walks grouped (no-join ORDER BY and MIN/MAX).
+//! Results are materialized (the workloads' result sets are small).
 
+use std::borrow::Cow;
+use std::cell::Cell;
 use std::collections::BTreeMap;
 
 use serde::{Deserialize, Serialize};
-use txtypes::{Error, InvalidationTag, Result, TagSet, Timestamp, ValidityInterval};
+use txtypes::{Error, Result, TagSet, Timestamp, ValidityInterval};
 
 use crate::buffer::{PageAccess, SharedBuffer};
-use crate::plan::{AccessPath, JoinAccess, QueryPlan};
-use crate::query::{Aggregate, SortOrder};
+use crate::plan::{choose_access_path, keyed_tag, AccessPath, JoinAccess, QueryPlan};
+use crate::query::{Aggregate, Predicate, SortOrder};
+use crate::schema::ColumnDef;
 use crate::table::{Slot, Table};
-use crate::tuple::TxnId;
+use crate::tuple::{TupleVersion, TxnId};
 use crate::validity::ValidityTracker;
 use crate::value::Value;
 
@@ -86,20 +107,7 @@ impl QueryResult {
     /// Looks up a column by name. Bare names match outer columns exactly and
     /// joined columns by suffix.
     pub fn column_index(&self, name: &str) -> Result<usize> {
-        if let Some(i) = self.columns.iter().position(|c| c == name) {
-            return Ok(i);
-        }
-        let suffix = format!(".{name}");
-        let mut matches = self
-            .columns
-            .iter()
-            .enumerate()
-            .filter(|(_, c)| c.ends_with(&suffix));
-        match (matches.next(), matches.next()) {
-            (Some((i, _)), None) => Ok(i),
-            (Some(_), Some(_)) => Err(Error::Query(format!("ambiguous column '{name}'"))),
-            (None, _) => Err(Error::Query(format!("unknown column '{name}'"))),
-        }
+        resolve_column(&self.columns, name)
     }
 
     /// Returns the value in `column` of row `row`, if both exist.
@@ -152,664 +160,580 @@ pub fn execute_plan(
     buffer: &SharedBuffer,
     opts: &ExecOptions,
 ) -> Result<QueryResult> {
-    // Index-assisted fast paths. When there is no join, ORDER BY (+ LIMIT),
-    // MIN/MAX, and COUNT queries run grouped accounting loops shared by
-    // *every* access path, so an index-assisted plan and the forced-SeqScan
-    // reference produce bit-identical rows and validity intervals (the
-    // equivalence the proptests assert). Index-backed plans merely walk fewer
-    // groups to reach the same observations.
-    if plan.join.is_none() {
-        match &plan.query.aggregate {
-            Some(Aggregate::Count) => {
-                return exec_count(plan, outer, snapshot_ts, me, buffer, opts)
-            }
-            Some(Aggregate::Min(_)) | Some(Aggregate::Max(_)) => {
-                return exec_endpoint(plan, outer, snapshot_ts, me, buffer, opts)
-            }
-            None if plan.query.order_by.is_some() => {
-                return exec_ordered(plan, outer, snapshot_ts, me, buffer, opts)
-            }
-            _ => {}
-        }
+    let query = &plan.query;
+    let join = plan.join.as_ref().zip(inner);
+    // The full row's column names: the outer table's bare, a joined table's
+    // qualified. Only a result that returns them all needs them owned.
+    let mut columns: Vec<Cow<str>> = Vec::new();
+    columns.extend((outer.schema().columns.iter()).map(|c| Cow::from(&c.name)));
+    if let Some((_, table)) = join {
+        let schema = table.schema();
+        let qualified = |c: &ColumnDef| Cow::from(format!("{}.{}", schema.name, c.name));
+        columns.extend(schema.columns.iter().map(qualified));
     }
 
-    let mut tracker = ValidityTracker::new(opts.track_validity);
-    let mut tags = plan.base_tags.clone();
-    let mut pages = PageCounts::default();
-
-    // ---- Outer table ----
-    let candidate_slots = fetch_candidates(outer, &plan.access, &mut pages, buffer)?;
-    let outer_schema = outer.schema();
-    let mut outer_rows: Vec<Vec<Value>> = Vec::new();
-    for slot in candidate_slots {
-        let Some(version) = outer.get(slot) else {
-            continue;
-        };
-        pages.record(buffer.access(&plan.table, outer.heap_page_of(slot)));
-        let keep = filter_version(
-            outer,
-            &plan.predicate,
-            version,
-            snapshot_ts,
-            me,
-            opts,
-            &mut tracker,
-        )?;
-        if keep {
-            outer_rows.push(version.values.clone());
+    // The query's shape picks the sink, and for ORDER BY and MIN/MAX an
+    // `order` (column, descending) to meet the candidates in. Without a join
+    // the source walks them grouped by that column, so the sink can stop at a
+    // group boundary and an index-ordered walk makes the same observations as
+    // the forced-SeqScan reference; a join sorts its materialized rows.
+    let column = |name: &str| resolve_column(&columns, name);
+    let mut order = None;
+    let mut shape = match &query.aggregate {
+        Some(Aggregate::Count) => Shape::Count(0),
+        Some(Aggregate::Sum(c)) => Shape::Fold(false, column(c)?, Vec::new()),
+        Some(Aggregate::Avg(c)) => Shape::Fold(true, column(c)?, Vec::new()),
+        Some(Aggregate::Min(c)) | Some(Aggregate::Max(c)) => {
+            let max = matches!(query.aggregate, Some(Aggregate::Max(_)));
+            let idx = column(c)?;
+            order = Some((idx, max));
+            Shape::MinMax(max, idx, Value::Null)
         }
-    }
+        None => {
+            if let Some((c, by)) = &query.order_by {
+                order = Some((column(c)?, matches!(by, SortOrder::Desc)));
+            }
+            let projection = match &query.projection {
+                Some(names) => {
+                    let indices: Result<Vec<usize>> = names.iter().map(|c| column(c)).collect();
+                    Some((names.as_slice(), indices?))
+                }
+                None => None,
+            };
+            Shape::Rows {
+                rows: Vec::new(),
+                sort: order.filter(|_| join.is_some()),
+                limit: query.limit,
+                projection,
+            }
+        }
+    };
+    let group_by = order.filter(|_| join.is_none());
 
-    // ---- Join ----
-    let (mut columns, mut joined_rows): (Vec<String>, Vec<Vec<Value>>) = (
-        outer_schema
-            .columns
-            .iter()
-            .map(|c| c.name.clone())
-            .collect(),
-        Vec::new(),
-    );
-    if let (Some(join_plan), Some(inner_table)) = (&plan.join, inner) {
-        let inner_schema = inner_table.schema();
-        columns.extend(
-            inner_schema
-                .columns
-                .iter()
-                .map(|c| format!("{}.{}", inner_schema.name, c.name)),
-        );
-        let left_idx = outer_schema.column_index(&join_plan.join.left_column)?;
-        for outer_row in &outer_rows {
-            let key = &outer_row[left_idx];
+    let pager = Pager::new(buffer);
+    // A grouped MIN/MAX is the endpoint walk, the one shape that holds
+    // phantoms back until their group is settled.
+    let endpoint = group_by.is_some() && matches!(shape, Shape::MinMax(..));
+    let mut gate = Gate::new(snapshot_ts, me, *opts, endpoint);
+    let mut tags = TagSet::new();
+    if opts.track_validity {
+        tags = plan.base_tags.clone();
+    }
+    let access = &plan.access;
+    let source = Source::new(outer, &pager, index_column(access), &plan.predicate, None);
+    let candidates = source.groups(access, group_by)?;
+    if let Some((join_plan, inner_table)) = join {
+        // The outer side is materialized before the first inner probe.
+        let mut outer_rows: Vec<Vec<Value>> = Vec::new();
+        scan(&source, candidates, &mut gate, None, &[], &mut outer_rows)?;
+        // The inner side is the same kind of source, asked once per outer row
+        // for an index probe on that row's key (emitting the per-key tag of
+        // §5.3) or for a heap scan; the gate adds the join condition.
+        let join = &join_plan.join;
+        let indexed = join_plan.access == JoinAccess::IndexNestedLoop;
+        let probed = indexed.then_some(join.right_column.as_str());
+        let left = outer.schema().column_index(&join.left_column)?;
+        let right = inner_table.schema().column_index(&join.right_column)?;
+        let inner = Source::new(inner_table, &pager, probed, &join.predicate, Some(right));
+        for row in &outer_rows {
+            let key = &row[left];
             if key.is_null() {
                 continue;
             }
-            let inner_slots: Vec<Slot> = match join_plan.access {
-                JoinAccess::IndexNestedLoop => {
-                    pages.record(buffer.access(
-                        &format!("{}#idx:{}", inner_schema.name, join_plan.join.right_column),
-                        inner_table.index_page_of(&join_plan.join.right_column, key),
-                    ));
-                    if opts.track_validity {
-                        tags.insert(InvalidationTag::keyed(
-                            &inner_schema.name,
-                            format!("{}={}", join_plan.join.right_column, key.render_key()),
-                        ));
-                    }
-                    inner_table.index_eq(&join_plan.join.right_column, key)?
+            let candidates = ungrouped(if indexed {
+                if opts.track_validity {
+                    tags.insert(keyed_tag(&join.table, &join.right_column, key));
                 }
-                JoinAccess::NestedLoopScan => inner_table.scan_slots().collect(),
-            };
-            for slot in inner_slots {
-                let Some(version) = inner_table.get(slot) else {
-                    continue;
-                };
-                pages.record(buffer.access(&inner_schema.name, inner_table.heap_page_of(slot)));
-                // The join condition plus the join predicate.
-                let right_idx = inner_schema.column_index(&join_plan.join.right_column)?;
-                let join_matches = |vals: &[Value]| vals[right_idx] == *key;
-                let keep = filter_join_version(
-                    inner_table,
-                    &join_plan.join.predicate,
-                    version,
-                    snapshot_ts,
-                    me,
-                    opts,
-                    &mut tracker,
-                    &join_matches,
-                )?;
-                if keep {
-                    let mut row = outer_row.clone();
-                    row.extend(version.values.iter().cloned());
-                    joined_rows.push(row);
-                }
-            }
-        }
-    } else {
-        joined_rows = outer_rows;
-    }
-
-    // ---- Order by / limit ----
-    if plan.query.aggregate.is_none() {
-        if let Some((col, order)) = &plan.query.order_by {
-            let idx = resolve_column(&columns, col)?;
-            joined_rows.sort_by(|a, b| {
-                let cmp = a[idx].cmp(&b[idx]);
-                match order {
-                    SortOrder::Asc => cmp,
-                    SortOrder::Desc => cmp.reverse(),
-                }
+                inner.probe(key)?
+            } else {
+                inner.candidates(&AccessPath::SeqScan)?
             });
+            scan(&inner, candidates, &mut gate, Some(key), row, &mut shape)?;
         }
-        if let Some(limit) = plan.query.limit {
-            joined_rows.truncate(limit);
-        }
+    } else {
+        scan(&source, candidates, &mut gate, None, &[], &mut shape)?;
     }
 
-    // ---- Aggregate ----
-    let (columns, rows) = if let Some(aggregate) = &plan.query.aggregate {
-        aggregate_rows(aggregate, &columns, &joined_rows)?
-    } else if let Some(projection) = &plan.query.projection {
-        let indices: Vec<usize> = projection
-            .iter()
-            .map(|c| resolve_column(&columns, c))
-            .collect::<Result<_>>()?;
-        let projected = joined_rows
-            .iter()
-            .map(|r| indices.iter().map(|&i| r[i].clone()).collect())
-            .collect();
-        (projection.clone(), projected)
-    } else {
-        (columns, joined_rows)
-    };
-
+    let (columns, rows) = shape.finish(columns);
     Ok(QueryResult {
         columns,
         rows,
-        validity: tracker.finalize(snapshot_ts),
-        tags: if opts.track_validity {
-            tags
-        } else {
-            TagSet::new()
-        },
-        pages,
+        validity: gate.tracker.finalize(snapshot_ts),
+        tags,
+        pages: pager.counts.get(),
     })
 }
 
-/// Candidate slots grouped by the value of one column, walked in key order.
-///
-/// For index-backed ordered/endpoint paths the groups stream lazily out of
-/// the B-tree so the consumer can stop early; `charge_index` names the index
-/// whose pages the consumer must charge, one per group actually visited. For
-/// every other path the already-fetched candidates are grouped by the column
-/// value (including a NULL group, which sorts first like NULLs do in a
-/// materialized sort).
-struct GroupedCandidates<'t> {
-    groups: Box<dyn Iterator<Item = (Value, Vec<Slot>)> + 't>,
-    charge_index: Option<String>,
+/// UPDATE/DELETE target selection: the slots of the versions of `table`
+/// visible to (`snapshot_ts`, `me`) that match `predicate`, located the way a
+/// SELECT with that predicate would (same source, same gate, same page
+/// charges) — with no validity to track and the slots themselves as the sink.
+pub(crate) fn matching_slots(
+    table: &Table,
+    predicate: &Predicate,
+    snapshot_ts: Timestamp,
+    me: TxnId,
+    buffer: &SharedBuffer,
+    opts: &ExecOptions,
+) -> Result<Vec<Slot>> {
+    let access = choose_access_path(predicate, table);
+    let pager = Pager::new(buffer);
+    let source = Source::new(table, &pager, index_column(&access), predicate, None);
+    let untracked = ExecOptions {
+        track_validity: false,
+        ..*opts
+    };
+    let mut gate = Gate::new(snapshot_ts, Some(me), untracked, false);
+    let candidates = source.groups(&access, None)?;
+    let mut slots: Vec<Slot> = Vec::new();
+    scan(&source, candidates, &mut gate, None, &[], &mut slots)?;
+    Ok(slots)
 }
 
-fn grouped_candidates<'t>(
-    table: &'t Table,
-    access: &AccessPath,
-    group_col: &str,
+/// Drives one candidate stream through the gate into a sink. When scanning
+/// the inner side of a join, `key` is the outer row's join key and `left`
+/// that row (`None` and empty otherwise).
+fn scan(
+    source: &Source<'_>,
+    candidates: Groups<'_>,
+    gate: &mut Gate,
+    key: Option<&Value>,
+    left: &[Value],
+    sink: &mut impl Sink,
+) -> Result<()> {
+    for (group_key, slots) in candidates {
+        if !sink.wants_group(group_key) {
+            continue;
+        }
+        for &slot in slots.iter() {
+            let Some(version) = source.fetch(slot) else {
+                continue;
+            };
+            if gate.admit(source, key, version)? {
+                sink.push(slot, left, &version.values);
+            }
+        }
+        let stop = sink.group_done();
+        gate.settle_group(stop);
+        if stop {
+            break;
+        }
+    }
+    Ok(())
+}
+
+// ---------------------------------------------------------------------------
+// Stage 1: candidate source
+// ---------------------------------------------------------------------------
+
+/// Charges page accesses to the buffer manager and to the query's counts.
+struct Pager<'a> {
+    buffer: &'a SharedBuffer,
+    counts: Cell<PageCounts>,
+}
+
+impl<'a> Pager<'a> {
+    fn new(buffer: &'a SharedBuffer) -> Pager<'a> {
+        let counts = Cell::default();
+        Pager { buffer, counts }
+    }
+
+    fn charge(&self, space: &str, page: u64) {
+        let mut counts = self.counts.get();
+        counts.record(self.buffer.access(space, page));
+        self.counts.set(counts);
+    }
+}
+
+/// Candidate slots in groups. Grouped walks (no-join ORDER BY and MIN/MAX)
+/// yield one group per distinct value of the grouping column, keyed by it and
+/// in its direction; everything else yields a single unkeyed group.
+type Groups<'s> = Box<dyn Iterator<Item = (Option<&'s Value>, Cow<'s, [Slot]>)> + 's>;
+
+fn ungrouped<'s>(slots: Vec<Slot>) -> Groups<'s> {
+    Box::new(std::iter::once((None, Cow::Owned(slots))))
+}
+
+fn directed<'s>(
+    groups: impl DoubleEndedIterator<Item = (Option<&'s Value>, Cow<'s, [Slot]>)> + 's,
     desc: bool,
-    pages: &mut PageCounts,
-    buffer: &SharedBuffer,
-) -> Result<GroupedCandidates<'t>> {
+) -> Groups<'s> {
+    if desc {
+        Box::new(groups.rev())
+    } else {
+        Box::new(groups)
+    }
+}
+
+/// The indexed column an access path probes or walks, if any.
+fn index_column(access: &AccessPath) -> Option<&str> {
     match access {
-        AccessPath::IndexOrdered { column, lo, hi, .. }
-        | AccessPath::IndexEndpoint { column, lo, hi, .. }
-            if column == group_col =>
-        {
-            let it = table
-                .index_groups(column, lo.as_ref(), hi.as_ref())?
-                .map(|(k, s)| (k.clone(), s.to_vec()));
-            let groups: Box<dyn Iterator<Item = (Value, Vec<Slot>)> + 't> = if desc {
-                Box::new(it.rev())
-            } else {
-                Box::new(it)
-            };
-            Ok(GroupedCandidates {
-                groups,
-                charge_index: Some(column.clone()),
-            })
+        AccessPath::IndexEq { column, .. }
+        | AccessPath::IndexIn { column, .. }
+        | AccessPath::IndexRange { column, .. }
+        | AccessPath::IndexOrdered { column, .. }
+        | AccessPath::IndexEndpoint { column, .. } => Some(column),
+        AccessPath::SeqScan => None,
+    }
+}
+
+/// One table's side of a scan: where its candidate versions come from — every
+/// heap and index page touched on the way is charged here and nowhere else —
+/// and, for the gate, which of them match.
+struct Source<'t> {
+    table: &'t Table,
+    pager: &'t Pager<'t>,
+    /// The index this source probes: its column and its page-space name.
+    index: Option<(&'t str, String)>,
+    predicate: &'t Predicate,
+    /// Inner side of a join: the column that must equal the outer row's key.
+    key_col: Option<usize>,
+}
+
+impl<'t> Source<'t> {
+    fn new(
+        table: &'t Table,
+        pager: &'t Pager<'t>,
+        index_column: Option<&'t str>,
+        predicate: &'t Predicate,
+        key_col: Option<usize>,
+    ) -> Source<'t> {
+        let name = &table.schema().name;
+        let index = index_column.map(|column| (column, format!("{name}#idx:{column}")));
+        Source {
+            table,
+            pager,
+            index,
+            predicate,
+            key_col,
         }
-        _ => {
-            let slots = fetch_candidates(table, access, pages, buffer)?;
-            let col_idx = table.schema().column_index(group_col)?;
-            let mut map: BTreeMap<Value, Vec<Slot>> = BTreeMap::new();
-            for slot in slots {
-                if let Some(version) = table.get(slot) {
-                    map.entry(version.values[col_idx].clone())
-                        .or_default()
-                        .push(slot);
+    }
+
+    fn index(&self) -> Result<(&'t str, &str)> {
+        let (column, space) = (self.index.as_ref())
+            .ok_or_else(|| Error::Query("index access on a source without an index".into()))?;
+        Ok((column, space))
+    }
+
+    /// The version at `slot` (unless vacuumed), charging its heap page.
+    fn fetch(&self, slot: Slot) -> Option<&'t TupleVersion> {
+        let version = self.table.get(slot)?;
+        let page = self.table.heap_page_of(slot);
+        self.pager.charge(&self.table.schema().name, page);
+        Some(version)
+    }
+
+    /// One index probe: the slots filed under `key`, charging the index page
+    /// the key hashes to.
+    fn probe(&self, key: &Value) -> Result<Vec<Slot>> {
+        let (column, space) = self.index()?;
+        let page = self.table.index_page_of(column, key);
+        self.pager.charge(space, page);
+        self.table.index_eq(column, key)
+    }
+
+    /// A lazy walk over the index's key groups between the (inclusive)
+    /// bounds, charging one index page per group actually visited.
+    fn walk<'s>(
+        &'s self,
+        lo: &Option<Value>,
+        hi: &Option<Value>,
+        desc: bool,
+    ) -> Result<Groups<'s>> {
+        let (column, space) = self.index()?;
+        let groups = self.table.index_groups(column, lo.as_ref(), hi.as_ref())?;
+        let charged = groups.map(move |(key, slots)| {
+            let page = self.table.index_page_of(column, key);
+            self.pager.charge(space, page);
+            (Some(key), Cow::Borrowed(slots))
+        });
+        Ok(directed(charged, desc))
+    }
+
+    /// All candidate slots of `access`, index pages charged up front.
+    fn candidates(&self, access: &AccessPath) -> Result<Vec<Slot>> {
+        let mut slots = Vec::new();
+        match access {
+            AccessPath::IndexEq { value, .. } => return self.probe(value),
+            AccessPath::IndexIn { values, .. } => {
+                // One probe (and one index page) per IN-list key; the union is
+                // restored to heap order so downstream row order matches a scan.
+                for value in values {
+                    slots.extend(self.probe(value)?);
+                }
+                slots.sort_unstable();
+                slots.dedup();
+            }
+            AccessPath::IndexRange { lo, hi, .. }
+            | AccessPath::IndexOrdered { lo, hi, .. }
+            | AccessPath::IndexEndpoint { lo, hi, .. } => {
+                for (_, group) in self.walk(lo, hi, false)? {
+                    slots.extend_from_slice(&group);
                 }
             }
-            let it = map.into_iter();
-            let groups: Box<dyn Iterator<Item = (Value, Vec<Slot>)> + 't> = if desc {
-                Box::new(it.rev())
-            } else {
-                Box::new(it)
-            };
-            Ok(GroupedCandidates {
-                groups,
-                charge_index: None,
-            })
+            AccessPath::SeqScan => slots.extend(self.table.scan_slots()),
         }
-    }
-}
-
-/// Final tag set for a result under the given options.
-fn final_tags(tags: &TagSet, opts: &ExecOptions) -> TagSet {
-    if opts.track_validity {
-        tags.clone()
-    } else {
-        TagSet::new()
-    }
-}
-
-/// ORDER BY (+ LIMIT) pushdown: walk candidate groups in sort order, keep
-/// visible matching rows, and stop once `limit` visible rows exist *and* the
-/// current key group is complete (completing the group preserves stable tie
-/// order and keeps the validity accounting exact — a version beyond the last
-/// examined group can never displace a returned row while the returned rows'
-/// intersected validity holds, because it sorts strictly after them).
-fn exec_ordered(
-    plan: &QueryPlan,
-    outer: &Table,
-    snapshot_ts: Timestamp,
-    me: Option<TxnId>,
-    buffer: &SharedBuffer,
-    opts: &ExecOptions,
-) -> Result<QueryResult> {
-    let (col, order) = plan
-        .query
-        .order_by
-        .as_ref()
-        .ok_or_else(|| Error::Query("ordered path without order_by".into()))?;
-    let outer_schema = outer.schema();
-    let columns: Vec<String> = outer_schema
-        .columns
-        .iter()
-        .map(|c| c.name.clone())
-        .collect();
-    let col_idx = resolve_column(&columns, col)?;
-    let group_col = columns[col_idx].clone();
-    let desc = matches!(order, SortOrder::Desc);
-
-    let mut tracker = ValidityTracker::new(opts.track_validity);
-    let mut pages = PageCounts::default();
-    let gc = grouped_candidates(outer, &plan.access, &group_col, desc, &mut pages, buffer)?;
-    let mut rows: Vec<Vec<Value>> = Vec::new();
-    for (key, slots) in gc.groups {
-        if let Some(idx_col) = &gc.charge_index {
-            pages.record(buffer.access(
-                &format!("{}#idx:{}", plan.table, idx_col),
-                outer.index_page_of(idx_col, &key),
-            ));
-        }
-        for slot in slots {
-            let Some(version) = outer.get(slot) else {
-                continue;
-            };
-            pages.record(buffer.access(&plan.table, outer.heap_page_of(slot)));
-            if filter_version(
-                outer,
-                &plan.predicate,
-                version,
-                snapshot_ts,
-                me,
-                opts,
-                &mut tracker,
-            )? {
-                rows.push(version.values.clone());
-            }
-        }
-        if plan.query.limit.is_some_and(|l| rows.len() >= l) {
-            break;
-        }
-    }
-    if let Some(limit) = plan.query.limit {
-        rows.truncate(limit);
+        Ok(slots)
     }
 
-    let (columns, rows) = if let Some(projection) = &plan.query.projection {
-        let indices: Vec<usize> = projection
-            .iter()
-            .map(|c| resolve_column(&columns, c))
-            .collect::<Result<_>>()?;
-        let projected = rows
-            .iter()
-            .map(|r| indices.iter().map(|&i| r[i].clone()).collect())
-            .collect();
-        (projection.clone(), projected)
-    } else {
-        (columns, rows)
-    };
-
-    Ok(QueryResult {
-        columns,
-        rows,
-        validity: tracker.finalize(snapshot_ts),
-        tags: final_tags(&plan.base_tags, opts),
-        pages,
-    })
-}
-
-/// MIN/MAX endpoint probe: walk candidate groups from the matching end and
-/// stop at the first group with a visible matching row. NULL-keyed groups are
-/// skipped wholesale — NULLs can never be the MIN/MAX value, so their versions
-/// neither tighten the validity nor enter the mask. Within the answering
-/// group, invisible matching versions are discarded too (a phantom with the
-/// same key cannot change the answer); invisible matching versions in more
-/// extreme groups enter the mask, because their appearance *would* change it.
-fn exec_endpoint(
-    plan: &QueryPlan,
-    outer: &Table,
-    snapshot_ts: Timestamp,
-    me: Option<TxnId>,
-    buffer: &SharedBuffer,
-    opts: &ExecOptions,
-) -> Result<QueryResult> {
-    let (col, max) = match &plan.query.aggregate {
-        Some(Aggregate::Min(c)) => (c, false),
-        Some(Aggregate::Max(c)) => (c, true),
-        _ => return Err(Error::Query("endpoint path without MIN/MAX".into())),
-    };
-    let outer_schema = outer.schema();
-    let columns: Vec<String> = outer_schema
-        .columns
-        .iter()
-        .map(|c| c.name.clone())
-        .collect();
-    let col_idx = resolve_column(&columns, col)?;
-    let group_col = columns[col_idx].clone();
-
-    let mut tracker = ValidityTracker::new(opts.track_validity);
-    let mut pages = PageCounts::default();
-    let gc = grouped_candidates(outer, &plan.access, &group_col, max, &mut pages, buffer)?;
-    let mut answer = Value::Null;
-    for (key, slots) in gc.groups {
-        if let Some(idx_col) = &gc.charge_index {
-            pages.record(buffer.access(
-                &format!("{}#idx:{}", plan.table, idx_col),
-                outer.index_page_of(idx_col, &key),
-            ));
-        }
-        if key.is_null() {
-            continue;
-        }
-        let mut deferred: Vec<Option<ValidityInterval>> = Vec::new();
-        let mut visible_match = false;
-        for slot in slots {
-            let Some(version) = outer.get(slot) else {
-                continue;
-            };
-            pages.record(buffer.access(&plan.table, outer.heap_page_of(slot)));
-            if opts.predicate_before_visibility {
-                if !plan.predicate.eval(outer_schema, &version.values)? {
-                    continue;
-                }
-                if !version.visible_to(snapshot_ts, me) {
-                    deferred.push(version.committed_validity());
-                    continue;
-                }
-            } else {
-                if !version.visible_to(snapshot_ts, me) {
-                    tracker.observe_invisible(version.committed_validity());
-                    continue;
-                }
-                if !plan.predicate.eval(outer_schema, &version.values)? {
-                    continue;
-                }
-            }
-            tracker.observe_visible(
-                version
-                    .committed_validity()
-                    .unwrap_or_else(|| ValidityInterval::point(snapshot_ts)),
-            );
-            visible_match = true;
-        }
-        if visible_match {
-            answer = key;
-            break;
-        }
-        for validity in deferred {
-            tracker.observe_invisible(validity);
-        }
-    }
-
-    let name = if max { "max" } else { "min" };
-    Ok(QueryResult {
-        columns: vec![name.to_string()],
-        rows: vec![vec![answer]],
-        validity: tracker.finalize(snapshot_ts),
-        tags: final_tags(&plan.base_tags, opts),
-        pages,
-    })
-}
-
-/// COUNT shortcut: identical visibility/validity accounting to the generic
-/// path, but no tuple values are cloned or materialized.
-fn exec_count(
-    plan: &QueryPlan,
-    outer: &Table,
-    snapshot_ts: Timestamp,
-    me: Option<TxnId>,
-    buffer: &SharedBuffer,
-    opts: &ExecOptions,
-) -> Result<QueryResult> {
-    let mut tracker = ValidityTracker::new(opts.track_validity);
-    let mut pages = PageCounts::default();
-    let candidate_slots = fetch_candidates(outer, &plan.access, &mut pages, buffer)?;
-    let mut count = 0i64;
-    for slot in candidate_slots {
-        let Some(version) = outer.get(slot) else {
-            continue;
+    /// The candidates of `access`, grouped by column `group_by.0` (walked
+    /// descending if `group_by.1`) when the shape asks for it. An ordered or
+    /// endpoint path over that very column streams straight out of the index,
+    /// so the consumer can stop early; any other path has its candidates
+    /// grouped by the column's value — including a NULL group, which sorts
+    /// first like NULLs do in a materialized sort.
+    fn groups(&self, access: &AccessPath, group_by: Option<(usize, bool)>) -> Result<Groups<'_>> {
+        let Some((col, desc)) = group_by else {
+            return Ok(ungrouped(self.candidates(access)?));
         };
-        pages.record(buffer.access(&plan.table, outer.heap_page_of(slot)));
-        if filter_version(
-            outer,
-            &plan.predicate,
-            version,
+        match access {
+            AccessPath::IndexOrdered { column, lo, hi, .. }
+            | AccessPath::IndexEndpoint { column, lo, hi, .. }
+                if *column == self.table.schema().columns[col].name =>
+            {
+                self.walk(lo, hi, desc)
+            }
+            _ => {
+                let mut map: BTreeMap<&Value, Vec<Slot>> = BTreeMap::new();
+                for slot in self.candidates(access)? {
+                    if let Some(version) = self.table.get(slot) {
+                        map.entry(&version.values[col]).or_default().push(slot);
+                    }
+                }
+                let groups = map.into_iter().map(|(k, s)| (Some(k), Cow::Owned(s)));
+                Ok(directed(groups, desc))
+            }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Stage 2: visibility gate
+// ---------------------------------------------------------------------------
+
+/// The snapshot a query reads at and the validity accounting (§5.2) of
+/// everything it examined, on either side of a join.
+struct Gate {
+    snapshot_ts: Timestamp,
+    me: Option<TxnId>,
+    opts: ExecOptions,
+    tracker: ValidityTracker,
+    /// Endpoint walks only: the current group's phantoms, held back until
+    /// [`Gate::settle_group`] decides whether they can change the answer.
+    deferred: Option<Vec<Option<ValidityInterval>>>,
+}
+
+impl Gate {
+    fn new(snapshot_ts: Timestamp, me: Option<TxnId>, opts: ExecOptions, defer: bool) -> Gate {
+        Gate {
             snapshot_ts,
             me,
             opts,
-            &mut tracker,
-        )? {
-            count += 1;
+            tracker: ValidityTracker::new(opts.track_validity),
+            deferred: defer.then(Vec::new),
         }
     }
-    Ok(QueryResult {
-        columns: vec!["count".to_string()],
-        rows: vec![vec![Value::Int(count)]],
-        validity: tracker.finalize(snapshot_ts),
-        tags: final_tags(&plan.base_tags, opts),
-        pages,
-    })
-}
 
-/// Fetches candidate slots according to the access path, charging index page
-/// accesses to the buffer manager.
-fn fetch_candidates(
-    table: &Table,
-    access: &AccessPath,
-    pages: &mut PageCounts,
-    buffer: &SharedBuffer,
-) -> Result<Vec<Slot>> {
-    let name = &table.schema().name;
-    match access {
-        AccessPath::IndexEq { column, value } => {
-            pages.record(buffer.access(
-                &format!("{name}#idx:{column}"),
-                table.index_page_of(column, value),
-            ));
-            table.index_eq(column, value)
+    /// Decides whether `version` of `side`'s table belongs in the result, and
+    /// accounts for it: a visible match tightens the result validity, and a
+    /// version discarded by the visibility check is a phantom that enters the
+    /// invalidity mask. With the predicate first only matching phantoms do;
+    /// visibility-first is the conservative §5.2 ablation — every invisible
+    /// version widens the mask, whether or not it would have matched. On the
+    /// inner side of a join, matching includes equality with the join `key`.
+    fn admit(
+        &mut self,
+        side: &Source,
+        key: Option<&Value>,
+        version: &TupleVersion,
+    ) -> Result<bool> {
+        let values = &version.values;
+        let matches = || -> Result<bool> {
+            let on_key = (side.key_col.zip(key)).is_none_or(|(col, key)| values[col] == *key);
+            Ok(on_key && side.predicate.eval(side.table.schema(), values)?)
+        };
+        let predicate_first = self.opts.predicate_before_visibility;
+        if predicate_first && !matches()? {
+            return Ok(false);
         }
-        AccessPath::IndexIn { column, values } => {
-            // One probe (and one index page) per IN-list key; the union is
-            // restored to heap order so downstream row order matches a scan.
-            let mut slots = Vec::new();
-            for value in values {
-                pages.record(buffer.access(
-                    &format!("{name}#idx:{column}"),
-                    table.index_page_of(column, value),
-                ));
-                slots.extend(table.index_eq(column, value)?);
+        if !version.visible_to(self.snapshot_ts, self.me) {
+            match &mut self.deferred {
+                Some(deferred) if predicate_first => deferred.push(version.committed_validity()),
+                _ => self.tracker.observe_invisible(version.committed_validity()),
             }
-            slots.sort_unstable();
-            slots.dedup();
-            Ok(slots)
-        }
-        AccessPath::IndexRange { column, lo, hi }
-        | AccessPath::IndexOrdered { column, lo, hi, .. }
-        | AccessPath::IndexEndpoint { column, lo, hi, .. } => {
-            // Charge the index pages actually walked: one per key group
-            // visited, at the page the key hashes to. (Ordered/endpoint paths
-            // normally stream via `grouped_candidates`; this arm is their
-            // range-equivalent fallback.)
-            let mut slots = Vec::new();
-            for (key, group) in table.index_groups(column, lo.as_ref(), hi.as_ref())? {
-                pages.record(buffer.access(
-                    &format!("{name}#idx:{column}"),
-                    table.index_page_of(column, key),
-                ));
-                slots.extend_from_slice(group);
-            }
-            Ok(slots)
-        }
-        AccessPath::SeqScan => Ok(table.scan_slots().collect()),
-    }
-}
-
-/// Applies the predicate/visibility pipeline to an outer-table version.
-/// Returns whether the version belongs in the result.
-fn filter_version(
-    table: &Table,
-    predicate: &crate::query::Predicate,
-    version: &crate::tuple::TupleVersion,
-    snapshot_ts: Timestamp,
-    me: Option<TxnId>,
-    opts: &ExecOptions,
-    tracker: &mut ValidityTracker,
-) -> Result<bool> {
-    let schema = table.schema();
-    if opts.predicate_before_visibility {
-        if !predicate.eval(schema, &version.values)? {
             return Ok(false);
         }
-        if !version.visible_to(snapshot_ts, me) {
-            tracker.observe_invisible(version.committed_validity());
+        if !predicate_first && !matches()? {
             return Ok(false);
         }
-        tracker.observe_visible(
-            version
-                .committed_validity()
-                .unwrap_or_else(|| ValidityInterval::point(snapshot_ts)),
-        );
-        Ok(true)
-    } else {
-        if !version.visible_to(snapshot_ts, me) {
-            // Conservative: every invisible tuple widens the mask, whether or
-            // not it would have matched the predicate.
-            tracker.observe_invisible(version.committed_validity());
-            return Ok(false);
-        }
-        if !predicate.eval(schema, &version.values)? {
-            return Ok(false);
-        }
-        tracker.observe_visible(
-            version
-                .committed_validity()
-                .unwrap_or_else(|| ValidityInterval::point(snapshot_ts)),
-        );
+        // A transaction's own pending write has no committed validity yet.
+        let own_write = ValidityInterval::point(self.snapshot_ts);
+        let validity = version.committed_validity().unwrap_or(own_write);
+        self.tracker.observe_visible(validity);
         Ok(true)
     }
-}
 
-/// Same pipeline for an inner-table version, where the effective predicate is
-/// the join condition plus the join's residual predicate.
-#[allow(clippy::too_many_arguments)]
-fn filter_join_version(
-    table: &Table,
-    predicate: &crate::query::Predicate,
-    version: &crate::tuple::TupleVersion,
-    snapshot_ts: Timestamp,
-    me: Option<TxnId>,
-    opts: &ExecOptions,
-    tracker: &mut ValidityTracker,
-    join_matches: &dyn Fn(&[Value]) -> bool,
-) -> Result<bool> {
-    let schema = table.schema();
-    let matches = |vals: &[Value]| -> Result<bool> {
-        Ok(join_matches(vals) && predicate.eval(schema, vals)?)
-    };
-    if opts.predicate_before_visibility {
-        if !matches(&version.values)? {
-            return Ok(false);
-        }
-        if !version.visible_to(snapshot_ts, me) {
-            tracker.observe_invisible(version.committed_validity());
-            return Ok(false);
-        }
-    } else {
-        if !version.visible_to(snapshot_ts, me) {
-            tracker.observe_invisible(version.committed_validity());
-            return Ok(false);
-        }
-        if !matches(&version.values)? {
-            return Ok(false);
+    /// Ends a key group of an endpoint walk. In the answering group (`stop`)
+    /// the held-back phantoms are dropped — a phantom with the answer's own
+    /// key cannot change the answer; in a more extreme group they enter the
+    /// mask, because their appearance *would* change it.
+    fn settle_group(&mut self, stop: bool) {
+        let Some(deferred) = &mut self.deferred else {
+            return;
+        };
+        for validity in deferred.drain(..).filter(|_| !stop) {
+            self.tracker.observe_invisible(validity);
         }
     }
-    tracker.observe_visible(
-        version
-            .committed_validity()
-            .unwrap_or_else(|| ValidityInterval::point(snapshot_ts)),
-    );
-    Ok(true)
 }
 
-/// Resolves a (possibly qualified) column name against the output columns.
-fn resolve_column(columns: &[String], name: &str) -> Result<usize> {
-    if let Some(i) = columns.iter().position(|c| c == name) {
+// ---------------------------------------------------------------------------
+// Stage 3: shape sinks
+// ---------------------------------------------------------------------------
+
+/// Where admitted versions go. A row is `left ++ right`: `right` is the
+/// admitted version's values and `left` the outer row it joins (empty for a
+/// single-table scan).
+trait Sink {
+    /// Whether to examine the group keyed `key` at all.
+    fn wants_group(&self, _key: Option<&Value>) -> bool {
+        true
+    }
+    fn push(&mut self, slot: Slot, left: &[Value], right: &[Value]);
+    /// Called after each group; `true` ends a grouped walk early. (An
+    /// ungrouped scan has a single group, so there it changes nothing.)
+    fn group_done(&mut self) -> bool {
+        false
+    }
+}
+
+/// The row `left ++ right`; a single-table scan's is a plain clone.
+fn joined_row(left: &[Value], right: &[Value]) -> Vec<Value> {
+    if left.is_empty() {
+        return right.to_vec();
+    }
+    [left, right].concat()
+}
+
+/// DML target selection keeps the slots.
+impl Sink for Vec<Slot> {
+    fn push(&mut self, slot: Slot, _left: &[Value], _right: &[Value]) {
+        Vec::push(self, slot);
+    }
+}
+
+/// Plain materialization (the outer side of a join).
+impl Sink for Vec<Vec<Value>> {
+    fn push(&mut self, _slot: Slot, left: &[Value], right: &[Value]) {
+        Vec::push(self, joined_row(left, right));
+    }
+}
+
+/// The result shapes of a SELECT.
+enum Shape<'q> {
+    /// Rows: stable ORDER BY (`sort`: column and descending flag — only set
+    /// when the walk is not already grouped in sort order), LIMIT (a grouped
+    /// walk stops at the first group boundary past it, which preserves tie
+    /// order and keeps the accounting exact: a version beyond the last
+    /// examined group sorts strictly after every returned row), projection
+    /// (output names and column indices).
+    Rows {
+        rows: Vec<Vec<Value>>,
+        sort: Option<(usize, bool)>,
+        limit: Option<usize>,
+        projection: Option<(&'q [String], Vec<usize>)>,
+    },
+    /// COUNT: no tuple values are cloned or materialized.
+    Count(i64),
+    /// SUM, or AVG if the flag is set, over the non-NULL values of a column.
+    Fold(bool, usize, Vec<f64>),
+    /// MIN, or MAX if the flag is set, of a column: the best value so far.
+    /// On a grouped walk this is the endpoint probe: NULL-keyed groups are
+    /// skipped wholesale (NULL can never be the answer, so its versions
+    /// neither tighten the validity nor enter the mask) and the walk stops at
+    /// the first group with a visible match.
+    MinMax(bool, usize, Value),
+}
+
+impl Sink for Shape<'_> {
+    fn wants_group(&self, key: Option<&Value>) -> bool {
+        !(matches!(self, Shape::MinMax(..)) && key.is_some_and(Value::is_null))
+    }
+
+    fn push(&mut self, _slot: Slot, left: &[Value], right: &[Value]) {
+        let cell = |idx: usize| left.get(idx).unwrap_or_else(|| &right[idx - left.len()]);
+        match self {
+            Shape::Rows { rows, .. } => rows.push(joined_row(left, right)),
+            Shape::Count(n) => *n += 1,
+            Shape::Fold(_, idx, vals) => vals.extend(cell(*idx).as_float()),
+            Shape::MinMax(max, idx, best) => {
+                // Among equals MIN keeps the first and MAX the last.
+                let v = cell(*idx);
+                if !v.is_null() && (best.is_null() || if *max { v >= best } else { v < best }) {
+                    *best = v.clone();
+                }
+            }
+        }
+    }
+
+    fn group_done(&mut self) -> bool {
+        match self {
+            Shape::Rows { rows, limit, .. } => limit.is_some_and(|l| rows.len() >= l),
+            Shape::MinMax(_, _, best) => !best.is_null(),
+            Shape::Count(_) | Shape::Fold(..) => false,
+        }
+    }
+}
+
+impl Shape<'_> {
+    /// The output columns and rows; `columns` names the full (joined) row.
+    fn finish(self, columns: Vec<Cow<str>>) -> (Vec<String>, Vec<Vec<Value>>) {
+        let single = |name: &str, value: Value| (vec![name.to_string()], vec![vec![value]]);
+        match self {
+            Shape::Count(n) => single("count", Value::Int(n)),
+            Shape::Fold(false, _, vals) => single("sum", Value::Float(vals.iter().sum())),
+            Shape::Fold(true, _, vals) if vals.is_empty() => single("avg", Value::Null),
+            Shape::Fold(true, _, vals) => single(
+                "avg",
+                Value::Float(vals.iter().sum::<f64>() / vals.len() as f64),
+            ),
+            Shape::MinMax(max, _, best) => single(if max { "max" } else { "min" }, best),
+            Shape::Rows {
+                mut rows,
+                sort,
+                limit,
+                projection,
+            } => {
+                if let Some((idx, desc)) = sort {
+                    let ordering = |a: &Vec<Value>, b: &Vec<Value>| a[idx].cmp(&b[idx]);
+                    rows.sort_by(|a, b| if desc { ordering(b, a) } else { ordering(a, b) });
+                }
+                rows.truncate(limit.unwrap_or(usize::MAX));
+                let Some((names, indices)) = projection else {
+                    return (columns.into_iter().map(Cow::into_owned).collect(), rows);
+                };
+                let project = |r: &Vec<Value>| indices.iter().map(|&i| r[i].clone()).collect();
+                (names.to_vec(), rows.iter().map(project).collect())
+            }
+        }
+    }
+}
+
+/// Resolves a (possibly qualified) column name against the output columns:
+/// an exact match wins, otherwise a unique `table.name` suffix match.
+fn resolve_column(columns: &[impl AsRef<str>], name: &str) -> Result<usize> {
+    if let Some(i) = columns.iter().position(|c| c.as_ref() == name) {
         return Ok(i);
     }
     let suffix = format!(".{name}");
     let mut matches = columns
         .iter()
         .enumerate()
-        .filter(|(_, c)| c.ends_with(&suffix));
+        .filter(|(_, c)| c.as_ref().ends_with(&suffix));
     match (matches.next(), matches.next()) {
         (Some((i, _)), None) => Ok(i),
         (Some(_), Some(_)) => Err(Error::Query(format!("ambiguous column '{name}'"))),
         (None, _) => Err(Error::Query(format!("unknown column '{name}'"))),
-    }
-}
-
-/// Computes an aggregate over the materialized rows.
-fn aggregate_rows(
-    aggregate: &Aggregate,
-    columns: &[String],
-    rows: &[Vec<Value>],
-) -> Result<(Vec<String>, Vec<Vec<Value>>)> {
-    let single = |name: &str, value: Value| (vec![name.to_string()], vec![vec![value]]);
-    match aggregate {
-        Aggregate::Count => Ok(single("count", Value::Int(rows.len() as i64))),
-        Aggregate::Sum(col) => {
-            let idx = resolve_column(columns, col)?;
-            let sum: f64 = rows.iter().filter_map(|r| r[idx].as_float()).sum();
-            Ok(single("sum", Value::Float(sum)))
-        }
-        Aggregate::Avg(col) => {
-            let idx = resolve_column(columns, col)?;
-            let vals: Vec<f64> = rows.iter().filter_map(|r| r[idx].as_float()).collect();
-            let avg = if vals.is_empty() {
-                Value::Null
-            } else {
-                Value::Float(vals.iter().sum::<f64>() / vals.len() as f64)
-            };
-            Ok(single("avg", avg))
-        }
-        Aggregate::Min(col) => {
-            let idx = resolve_column(columns, col)?;
-            let min = rows
-                .iter()
-                .map(|r| r[idx].clone())
-                .filter(|v| !v.is_null())
-                .min()
-                .unwrap_or(Value::Null);
-            Ok(single("min", min))
-        }
-        Aggregate::Max(col) => {
-            let idx = resolve_column(columns, col)?;
-            let max = rows
-                .iter()
-                .map(|r| r[idx].clone())
-                .filter(|v| !v.is_null())
-                .max()
-                .unwrap_or(Value::Null);
-            Ok(single("max", max))
-        }
     }
 }
 
@@ -821,6 +745,7 @@ mod tests {
     use crate::schema::TableSchema;
     use crate::tuple::{Stamp, TupleVersion};
     use crate::value::ColumnType;
+    use txtypes::InvalidationTag;
 
     fn make_items() -> Table {
         let schema = TableSchema::new("items")

@@ -80,6 +80,13 @@ pub enum AccessPath {
     SeqScan,
 }
 
+/// The keyed `TABLE:COLUMN=VALUE` tag (§5.3) of one index entry: what a probe
+/// of that key depends on, and what a write to a row filed under it
+/// invalidates.
+pub(crate) fn keyed_tag(table: &str, column: &str, value: &Value) -> InvalidationTag {
+    InvalidationTag::keyed(table, format!("{}={}", column, value.render_key()))
+}
+
 impl AccessPath {
     /// The invalidation tags this access method contributes for `table`
     /// (§5.3): keyed for index equality and per probed IN-list key, wildcard
@@ -87,16 +94,10 @@ impl AccessPath {
     #[must_use]
     pub fn invalidation_tags(&self, table: &str) -> Vec<InvalidationTag> {
         match self {
-            AccessPath::IndexEq { column, value } => {
-                vec![InvalidationTag::keyed(
-                    table,
-                    format!("{}={}", column, value.render_key()),
-                )]
+            AccessPath::IndexEq { column, value } => vec![keyed_tag(table, column, value)],
+            AccessPath::IndexIn { column, values } => {
+                values.iter().map(|v| keyed_tag(table, column, v)).collect()
             }
-            AccessPath::IndexIn { column, values } => values
-                .iter()
-                .map(|v| InvalidationTag::keyed(table, format!("{}={}", column, v.render_key())))
-                .collect(),
             AccessPath::IndexRange { .. }
             | AccessPath::IndexOrdered { .. }
             | AccessPath::IndexEndpoint { .. }

@@ -275,154 +275,233 @@ proptest! {
     }
 
     /// Planner equivalence invariant: every index-assisted plan (top-N
-    /// pushdown, MIN/MAX endpoint probe, COUNT shortcut, IN-list probes)
-    /// returns the same rows AND the bit-identical validity interval as the
-    /// forced sequential-scan reference plan, at every pinned snapshot of a
-    /// randomly mutated table.
+    /// pushdown, MIN/MAX endpoint probe, COUNT shortcut, IN-list and range
+    /// probes, SUM/AVG folds, joins with an index-assisted outer side)
+    /// returns the same rows as the forced sequential-scan reference plan at
+    /// every pinned snapshot of a randomly mutated table — and, under the
+    /// default predicate-before-visibility gate order, the bit-identical
+    /// validity interval. Under the visibility-first ablation order the scan
+    /// masks every dead version in the table while an index path only meets
+    /// the ones in its key range, so there the index plan's validity must
+    /// contain the scan's.
     #[test]
     fn index_assisted_plans_match_seq_scan_rows_and_validity(
         seed_rows in proptest::collection::vec((0i64..6, 0i64..6), 1..10),
-        ops in proptest::collection::vec((0u8..3, 0i64..6, 0i64..6), 0..10),
+        ops in proptest::collection::vec((0u8..4, 0i64..6, 0i64..6), 0..10),
         pivot in 0i64..6,
         limit in 1usize..5,
     ) {
         use txcache_repro::mvdb::{
-            AccessPath, Aggregate, CmpOp, ColumnType, Database, DbConfig, Predicate,
+            AccessPath, Aggregate, CmpOp, ColumnType, Database, DbConfig, ExecOptions, Predicate,
             SelectQuery, SnapshotId, SortOrder, TableSchema, Value,
         };
         use txcache_repro::txtypes::SimClock;
 
-        let db = Database::new(DbConfig::default(), SimClock::new());
-        db.create_table(
-            TableSchema::new("t")
-                .column("id", ColumnType::Int)
-                .column("a", ColumnType::Int)
-                .column("c", ColumnType::Int)
-                .unique_index("id")
-                .index("a"),
-        )
-        .unwrap();
+        for predicate_before_visibility in [true, false] {
+            let config = DbConfig {
+                exec: ExecOptions { predicate_before_visibility, ..ExecOptions::default() },
+                ..DbConfig::default()
+            };
+            let db = Database::new(config, SimClock::new());
+            db.create_table(
+                TableSchema::new("t")
+                    .column("id", ColumnType::Int)
+                    .column("a", ColumnType::Int)
+                    .column("c", ColumnType::Int)
+                    .unique_index("id")
+                    .index("a"),
+            )
+            .unwrap();
+            // The joined table: `u.id` takes the values of `t.a`.
+            db.create_table(
+                TableSchema::new("u")
+                    .column("id", ColumnType::Int)
+                    .column("g", ColumnType::Int)
+                    .unique_index("id"),
+            )
+            .unwrap();
 
-        // Seed, then apply random committed inserts/updates/deletes, pinning
-        // a snapshot after every commit so old versions stay reachable and
-        // the index keeps entries for superseded/deleted versions.
-        let mut next_id = 0i64;
-        let rows: Vec<Vec<Value>> = seed_rows
-            .iter()
-            .map(|(a, c)| {
-                next_id += 1;
-                vec![Value::Int(next_id), Value::Int(*a), Value::Int(*c)]
-            })
-            .collect();
-        db.bulk_load("t", rows).unwrap();
-        let mut pins = vec![db.pin_latest().0];
-        for (kind, a, c) in &ops {
-            let txn = db.begin_rw().unwrap();
-            match kind % 3 {
-                0 => {
+            // Seed, then apply random committed inserts/updates/deletes, pinning
+            // a snapshot after every commit so old versions stay reachable and
+            // the index keeps entries for superseded/deleted versions.
+            let mut next_id = 0i64;
+            let rows: Vec<Vec<Value>> = seed_rows
+                .iter()
+                .map(|(a, c)| {
                     next_id += 1;
-                    db.insert(
-                        txn,
-                        "t",
-                        vec![Value::Int(next_id), Value::Int(*a), Value::Int(*c)],
-                    )
-                    .unwrap();
+                    vec![Value::Int(next_id), Value::Int(*a), Value::Int(*c)]
+                })
+                .collect();
+            db.bulk_load("t", rows).unwrap();
+            db.bulk_load("u", (0..5i64).map(|i| vec![Value::Int(i), Value::Int(i % 2)]).collect())
+                .unwrap();
+            let mut pins = vec![db.pin_latest().0];
+            for (kind, a, c) in &ops {
+                let txn = db.begin_rw().unwrap();
+                match kind % 4 {
+                    0 => {
+                        next_id += 1;
+                        db.insert(
+                            txn,
+                            "t",
+                            vec![Value::Int(next_id), Value::Int(*a), Value::Int(*c)],
+                        )
+                        .unwrap();
+                    }
+                    1 => {
+                        let target = (*a % next_id.max(1)) + 1;
+                        db.update(
+                            txn,
+                            "t",
+                            &Predicate::eq("id", target),
+                            &[("a".to_string(), Value::Int(*c)), ("c".to_string(), Value::Int(*a))],
+                        )
+                        .unwrap();
+                    }
+                    2 => {
+                        let target = (*c % next_id.max(1)) + 1;
+                        db.delete(txn, "t", &Predicate::eq("id", target)).unwrap();
+                    }
+                    _ => {
+                        db.update(
+                            txn,
+                            "u",
+                            &Predicate::eq("id", *a),
+                            &[("g".to_string(), Value::Int(*c))],
+                        )
+                        .unwrap();
+                    }
                 }
-                1 => {
-                    let target = (*a % next_id.max(1)) + 1;
-                    db.update(
-                        txn,
-                        "t",
-                        &Predicate::eq("id", target),
-                        &[("a".to_string(), Value::Int(*c)), ("c".to_string(), Value::Int(*a))],
-                    )
-                    .unwrap();
-                }
-                _ => {
-                    let target = (*c % next_id.max(1)) + 1;
-                    db.delete(txn, "t", &Predicate::eq("id", target)).unwrap();
-                }
+                db.commit(txn).unwrap();
+                pins.push(db.pin_latest().0);
             }
-            db.commit(txn).unwrap();
-            pins.push(db.pin_latest().0);
-        }
 
-        let residual = Predicate::cmp("c", CmpOp::Ge, pivot);
-        let queries = vec![
-            // Top-N pushdown: ordered walks with and without residuals/bounds.
-            SelectQuery::table("t").order_by("a", SortOrder::Asc).limit(limit),
-            SelectQuery::table("t").order_by("a", SortOrder::Desc).limit(limit),
-            SelectQuery::table("t")
-                .filter(residual.clone())
-                .order_by("a", SortOrder::Desc)
-                .limit(limit),
-            SelectQuery::table("t")
-                .filter(Predicate::cmp("a", CmpOp::Ge, pivot))
-                .order_by("a", SortOrder::Asc)
-                .limit(limit),
-            SelectQuery::table("t").order_by("a", SortOrder::Asc),
-            SelectQuery::table("t")
-                .filter(Predicate::eq("a", pivot))
-                .order_by("id", SortOrder::Asc)
-                .limit(limit),
-            // MIN/MAX endpoint probes, bare and range-bounded.
-            SelectQuery::table("t").aggregate(Aggregate::Min("a".into())),
-            SelectQuery::table("t")
-                .filter(residual.clone())
-                .aggregate(Aggregate::Max("a".into())),
-            SelectQuery::table("t")
-                .filter(Predicate::cmp("a", CmpOp::Le, pivot))
-                .aggregate(Aggregate::Max("a".into())),
-            // COUNT shortcut, bare and keyed.
-            SelectQuery::table("t").aggregate(Aggregate::Count),
-            SelectQuery::table("t")
-                .filter(Predicate::eq("a", pivot))
-                .aggregate(Aggregate::Count),
-            // IN-list probes.
-            SelectQuery::table("t")
-                .filter(Predicate::in_list("a", [pivot, pivot + 2]))
-                .order_by("id", SortOrder::Asc),
-            SelectQuery::table("t").filter(Predicate::in_list("a", [pivot, pivot + 2])),
-        ];
+            let residual = Predicate::cmp("c", CmpOp::Ge, pivot);
+            let a_range = Predicate::cmp("a", CmpOp::Ge, pivot);
+            let queries = vec![
+                // Top-N pushdown: ordered walks with and without residuals/bounds.
+                SelectQuery::table("t").order_by("a", SortOrder::Asc).limit(limit),
+                SelectQuery::table("t").order_by("a", SortOrder::Desc).limit(limit),
+                SelectQuery::table("t")
+                    .filter(residual.clone())
+                    .order_by("a", SortOrder::Desc)
+                    .limit(limit),
+                SelectQuery::table("t")
+                    .filter(a_range.clone())
+                    .order_by("a", SortOrder::Asc)
+                    .limit(limit),
+                SelectQuery::table("t").order_by("a", SortOrder::Asc),
+                SelectQuery::table("t")
+                    .filter(Predicate::eq("a", pivot))
+                    .order_by("id", SortOrder::Asc)
+                    .limit(limit),
+                // MIN/MAX endpoint probes, bare and range-bounded.
+                SelectQuery::table("t").aggregate(Aggregate::Min("a".into())),
+                SelectQuery::table("t")
+                    .filter(residual.clone())
+                    .aggregate(Aggregate::Max("a".into())),
+                SelectQuery::table("t")
+                    .filter(Predicate::cmp("a", CmpOp::Le, pivot))
+                    .aggregate(Aggregate::Max("a".into())),
+                // COUNT shortcut, bare and keyed.
+                SelectQuery::table("t").aggregate(Aggregate::Count),
+                SelectQuery::table("t")
+                    .filter(Predicate::eq("a", pivot))
+                    .aggregate(Aggregate::Count),
+                // IN-list probes.
+                SelectQuery::table("t")
+                    .filter(Predicate::in_list("a", [pivot, pivot + 2]))
+                    .order_by("id", SortOrder::Asc),
+                SelectQuery::table("t").filter(Predicate::in_list("a", [pivot, pivot + 2])),
+                // Bare range probe (rows come back in key order, not heap order).
+                SelectQuery::table("t").filter(a_range.clone().and(residual.clone())),
+                // Projected top-N.
+                SelectQuery::table("t")
+                    .select(vec!["c", "id"])
+                    .order_by("a", SortOrder::Desc)
+                    .limit(limit),
+                // SUM/AVG folds over a range.
+                SelectQuery::table("t")
+                    .filter(a_range.clone())
+                    .aggregate(Aggregate::Sum("c".into())),
+                SelectQuery::table("t")
+                    .filter(Predicate::cmp("a", CmpOp::Le, pivot))
+                    .aggregate(Aggregate::Avg("c".into())),
+                // Joins whose outer side is index-assisted (keyed and range).
+                SelectQuery::table("t")
+                    .filter(Predicate::eq("a", pivot))
+                    .join("u", "a", "id")
+                    .join_filter(Predicate::cmp("g", CmpOp::Le, pivot)),
+                SelectQuery::table("t")
+                    .filter(a_range.clone())
+                    .join("u", "a", "id")
+                    .aggregate(Aggregate::Count),
+                SelectQuery::table("t").filter(a_range).join("u", "a", "id"),
+            ];
 
-        // The unconditional shapes must actually take the fast paths —
-        // otherwise the equivalence below would be vacuous.
-        prop_assert!(matches!(
-            db.plan_for(&queries[0]).unwrap().access,
-            AccessPath::IndexOrdered { .. }
-        ));
-        prop_assert!(matches!(
-            db.plan_for(&queries[6]).unwrap().access,
-            AccessPath::IndexEndpoint { max: false, .. }
-        ));
-        prop_assert!(matches!(
-            db.plan_for(&queries[11]).unwrap().access,
-            AccessPath::IndexIn { .. }
-        ));
+            // The unconditional shapes must actually take the fast paths —
+            // otherwise the equivalence below would be vacuous.
+            prop_assert!(matches!(
+                db.plan_for(&queries[0]).unwrap().access,
+                AccessPath::IndexOrdered { .. }
+            ));
+            prop_assert!(matches!(
+                db.plan_for(&queries[6]).unwrap().access,
+                AccessPath::IndexEndpoint { max: false, .. }
+            ));
+            prop_assert!(matches!(
+                db.plan_for(&queries[11]).unwrap().access,
+                AccessPath::IndexIn { .. }
+            ));
+            for i in [13, 15, 19] {
+                prop_assert!(matches!(
+                    db.plan_for(&queries[i]).unwrap().access,
+                    AccessPath::IndexRange { .. }
+                ));
+            }
 
-        for snap in &pins {
-            for q in &queries {
-                let plan = db.plan_for(q).unwrap();
-                let token = db.begin_ro(Some(SnapshotId(snap.timestamp()))).unwrap();
-                let natural = db.query(token, q).unwrap();
-                let forced = db.query(token, &q.clone().force_seq_scan()).unwrap();
-                db.commit(token).unwrap();
-                prop_assert_eq!(
-                    &natural.rows,
-                    &forced.rows,
-                    "rows diverge at ts {} for plan {:?} ({:?})",
-                    snap.timestamp(),
-                    plan.access,
-                    q
-                );
-                prop_assert_eq!(
-                    natural.validity,
-                    forced.validity,
-                    "validity diverges at ts {} for plan {:?} ({:?})",
-                    snap.timestamp(),
-                    plan.access,
-                    q
-                );
+            for snap in &pins {
+                for q in &queries {
+                    let plan = db.plan_for(q).unwrap();
+                    let token = db.begin_ro(Some(SnapshotId(snap.timestamp()))).unwrap();
+                    let mut natural = db.query(token, q).unwrap();
+                    let mut forced = db.query(token, &q.clone().force_seq_scan()).unwrap();
+                    db.commit(token).unwrap();
+                    // A range probe without ORDER BY returns rows in key order,
+                    // the scan in heap order: same rows, unspecified order.
+                    if matches!(plan.access, AccessPath::IndexRange { .. }) && q.order_by.is_none() {
+                        natural.rows.sort();
+                        forced.rows.sort();
+                    }
+                    prop_assert_eq!(
+                        &natural.rows,
+                        &forced.rows,
+                        "rows diverge at ts {} for plan {:?} ({:?})",
+                        snap.timestamp(),
+                        plan.access,
+                        q
+                    );
+                    if predicate_before_visibility {
+                        prop_assert_eq!(
+                            natural.validity,
+                            forced.validity,
+                            "validity diverges at ts {} for plan {:?} ({:?})",
+                            snap.timestamp(),
+                            plan.access,
+                            q
+                        );
+                    } else {
+                        prop_assert_eq!(
+                            natural.validity.intersect(&forced.validity),
+                            Some(forced.validity),
+                            "index plan's validity {:?} must contain the scan's at ts {} for plan {:?} ({:?})",
+                            natural.validity,
+                            snap.timestamp(),
+                            plan.access,
+                            q
+                        );
+                    }
+                }
             }
         }
     }
