@@ -156,6 +156,92 @@ impl LookupOutcome {
     }
 }
 
+// `LookupOutcome`, `wire::GetResult` and `wire::Response::{Hit, Miss}` are
+// the same sum written three times — what a node computes, one slot of a
+// `MultiGetResult`, and the whole reply to a `VersionedGet`. These are the
+// only places that take one apart to build another: the server converts
+// outcomes into either frame shape, the client converts either back.
+
+impl From<LookupOutcome> for wire::GetResult {
+    fn from(outcome: LookupOutcome) -> wire::GetResult {
+        match outcome {
+            LookupOutcome::Hit {
+                value,
+                validity,
+                stored_validity,
+                tags,
+            } => wire::GetResult::Hit {
+                value,
+                validity,
+                stored_validity,
+                tags,
+            },
+            LookupOutcome::Miss(kind) => wire::GetResult::Miss { kind: kind.into() },
+        }
+    }
+}
+
+impl From<wire::GetResult> for LookupOutcome {
+    fn from(result: wire::GetResult) -> LookupOutcome {
+        match result {
+            wire::GetResult::Hit {
+                value,
+                validity,
+                stored_validity,
+                tags,
+            } => LookupOutcome::Hit {
+                value,
+                validity,
+                stored_validity,
+                tags,
+            },
+            wire::GetResult::Miss { kind } => LookupOutcome::Miss(kind.into()),
+        }
+    }
+}
+
+impl From<LookupOutcome> for wire::Response {
+    fn from(outcome: LookupOutcome) -> wire::Response {
+        match outcome {
+            LookupOutcome::Hit {
+                value,
+                validity,
+                stored_validity,
+                tags,
+            } => wire::Response::Hit {
+                value,
+                validity,
+                stored_validity,
+                tags,
+            },
+            LookupOutcome::Miss(kind) => wire::Response::Miss { kind: kind.into() },
+        }
+    }
+}
+
+/// Any reply other than `Hit`/`Miss` is handed back unchanged.
+impl TryFrom<wire::Response> for LookupOutcome {
+    type Error = wire::Response;
+
+    fn try_from(response: wire::Response) -> Result<LookupOutcome, wire::Response> {
+        match response {
+            wire::Response::Hit {
+                value,
+                validity,
+                stored_validity,
+                tags,
+            } => Ok(LookupOutcome::Hit {
+                value,
+                validity,
+                stored_validity,
+                tags,
+            }),
+            wire::Response::Miss { kind } => Ok(LookupOutcome::Miss(kind.into())),
+            other => Err(other),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

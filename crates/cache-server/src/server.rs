@@ -53,11 +53,11 @@ use std::thread::JoinHandle;
 
 use parking_lot::Mutex;
 use wire::{
-    Closer, FramedStream, GetResult, InvalidationEvent, Listener, PutEntry, Request, Response,
-    Transport, WireError,
+    Closer, FramedStream, InvalidationEvent, Listener, PutEntry, Request, Response, Transport,
+    WireError,
 };
 
-use crate::entry::{LookupOutcome, LookupRequest};
+use crate::entry::LookupRequest;
 use crate::node::{CacheNode, NodeConfig};
 use crate::telemetry::{self, ServerObs};
 
@@ -518,20 +518,7 @@ pub(crate) fn apply_request(shared: &Shared, request: Request) -> Response {
                 pinset_hi,
                 freshness_lo,
             };
-            match shared.node.lookup(&key, &lookup) {
-                LookupOutcome::Hit {
-                    value,
-                    validity,
-                    stored_validity,
-                    tags,
-                } => Response::Hit {
-                    value,
-                    validity,
-                    stored_validity,
-                    tags,
-                },
-                LookupOutcome::Miss(kind) => Response::Miss { kind: kind.into() },
-            }
+            shared.node.lookup(&key, &lookup).into()
         }
         Request::Put {
             key,
@@ -562,20 +549,7 @@ pub(crate) fn apply_request(shared: &Shared, request: Request) -> Response {
             // back onto its read set positionally.
             let results = keys
                 .iter()
-                .map(|key| match shared.node.lookup(key, &lookup) {
-                    LookupOutcome::Hit {
-                        value,
-                        validity,
-                        stored_validity,
-                        tags,
-                    } => GetResult::Hit {
-                        value,
-                        validity,
-                        stored_validity,
-                        tags,
-                    },
-                    LookupOutcome::Miss(kind) => GetResult::Miss { kind: kind.into() },
-                })
+                .map(|key| shared.node.lookup(key, &lookup).into())
                 .collect();
             Response::MultiGetResult { results }
         }

@@ -6,11 +6,8 @@
 //! boundary so both deployments run the *same* client library:
 //!
 //! * [`cache_server::CacheCluster`] implements the trait directly — the
-//!   original in-process configuration, still the default. The cluster
-//!   holds its sharded nodes by reference (no wrapper mutexes), so
-//!   concurrent application-server threads hit the node shards in
-//!   parallel: lookups under shared locks, inserts under one shard's
-//!   exclusive lock;
+//!   original in-process configuration, still the default, with no lock of
+//!   its own in front of the sharded nodes;
 //! * [`RemoteCluster`] speaks the `wire` protocol to a set of `txcached`
 //!   servers, with one pooled connection per consistent-hash-ring node.
 //!
@@ -22,76 +19,84 @@
 //! seal-on-heal — is identical either way, which is the point: the fault
 //! injection exercises the code that runs in production.
 //!
-//! The remote backend is deliberately failure-tolerant in the way a cache
-//! must be: any transport error or timeout on the lookup/insert path is
-//! *absorbed as a cache miss* (and counted in
-//! [`RemoteCluster::degraded_ops`]), the connection is dropped and lazily
-//! re-established, and the application keeps running against the database.
-//! A correlation-id desync ([`wire::WireError::Desync`]) degrades only the
-//! affected request: since protocol v4 the stream stays frame-aligned, so
-//! the pooled connection (and every other request multiplexed on it) is
-//! kept.
+//! ## One funnel, one read loop, one shape adapter
 //!
-//! ## Replication and membership (protocol v5)
+//! Everything `RemoteCluster` says to a node goes through one private
+//! scatter–gather function, `funnel`: given `(node index, request)` pairs it
+//! locks each node's pooled connection, heals it lazily, writes every frame,
+//! and only then gathers the replies by correlation id — so a broadcast, or a
+//! read set spread over many nodes, costs one round trip instead of one per
+//! node. Nothing else takes a connection lock for I/O, which is what makes
+//! these rules hold everywhere at once:
+//!
+//! * **Failures are absorbed, not returned.** Any transport error, timeout,
+//!   error frame or wrong-shape reply degrades the operation to a cache miss
+//!   (counted in [`RemoteCluster::degraded_ops`]), drops the connection for
+//!   a lazy reconnect, and the application keeps running against the
+//!   database (§4: a cache node that is down is just a miss). The exception
+//!   is a correlation-id desync ([`wire::WireError::Desync`]): the stream is
+//!   still frame-aligned, so only the awaited request degrades and the
+//!   connection — with every other request multiplexed on it — is kept.
+//! * **Locks are taken in ascending node order**, and a node stays locked
+//!   from its scatter to its gather; one global order is what keeps two
+//!   concurrent fan-outs from deadlocking.
+//! * **Put acks are swept, never read for.** `Put`/`MultiPut` frames are
+//!   written and left; their acks park in the [`FramedStream`] mailbox
+//!   whenever a later reply is awaited on the same connection and are
+//!   collected from there for free. Only when `MAX_PENDING_PUTS` are owed
+//!   with none already received does an insert block on the wire — counted
+//!   in [`RemoteCluster::put_stalls`].
+//! * **A heal seals before it serves** (§4.2): the reconnect handshake runs
+//!   ahead of the frame that triggered it.
 //!
 //! Placement goes through an immutable, epoch-versioned
-//! [`cache_server::RingView`]: each key maps to an ordered *replica set*
-//! (the ring primary plus R−1 distinct successors, R set by
-//! [`RemoteOptions::replication`]). Writes fan out to the whole replica
-//! set; reads try the primary first and *fall back across the remaining
-//! replicas on transport failure, timeout, desync, or a compulsory miss*
-//! (counted in [`RemoteCluster::replica_fallbacks`]) — non-compulsory
-//! misses are final, since fan-out writes mirror versions across the set.
-//! A hit served by a fallback replica is copied to the preferred one
-//! ([`RemoteCluster::migration_fills`]), so still-valid entries migrate to
-//! their new owner as they are read after a join, leave, or heal.
-//! [`RemoteOptions::failover_threshold`] consecutive
-//! failures demote a node: demoted nodes are tried last on reads (their
-//! successors are effectively promoted) while writes and broadcasts keep
-//! probing them, so the first frame a healed node answers promotes it
-//! back — no restart of clients or peers.
+//! [`cache_server::RingView`]: each key maps to an ordered replica set (the
+//! ring primary plus R−1 distinct successors, R set by
+//! [`RemoteOptions::replication`]), and writes fan out to the whole set.
+//! Reads run one replica-round loop, `read_rounds`: try the preferred replica
+//! and fall back, round by round, on a failure or a *compulsory* miss
+//! ([`RemoteCluster::replica_fallbacks`]) — every other miss is final, since
+//! fan-out writes mirror versions across the set. A fallback hit is copied to
+//! the preferred replica ([`RemoteCluster::migration_fills`]), so still-valid
+//! entries migrate to their new owner as they are read after a join, leave,
+//! or heal. [`CacheBackend::lookup`] and [`CacheBackend::lookup_many`] are
+//! that same loop and differ only in the frame a node's share travels in —
+//! `VersionedGet` → `Hit | Miss` for the one-key read, epoch-stamped
+//! `MultiGet` → `MultiGetResult` for a batch — which a two-arm adapter
+//! (`GetShape`) hides from it.
+//!
+//! [`RemoteOptions::failover_threshold`] consecutive failures demote a node
+//! to last in read order, while writes and broadcasts keep probing it: the
+//! first frame a healed node answers promotes it back, with no restart of
+//! clients or peers.
 //!
 //! Membership changes at runtime ([`RemoteCluster::join_node`] /
 //! [`RemoteCluster::leave_node`]) publish the next ring epoch and announce
-//! it to every node (`RingEpoch`). Epoch-stamped `MultiGet`/`MultiPut`
-//! batches from a client still routing on an older ring draw a typed
-//! [`wire::Response::WrongEpoch`] redirect (counted in
-//! [`RemoteCluster::wrong_epoch_redirects`]) instead of silently missing
-//! on keys that moved.
-//!
-//! ## Multiplexed pipelining (protocol v4)
-//!
-//! Every request on a pooled connection carries a correlation id, so the
-//! client never has to serialize request/response pairs:
-//!
-//! * **Inserts** write their `Put` frame and move on; acks are collected
-//!   *opportunistically* whenever a later exchange happens to receive them
-//!   (they park in the [`FramedStream`] mailbox and are swept for free).
-//!   Only when [`MAX_PENDING_PUTS`] acks are outstanding with none already
-//!   received does an insert block on the wire — counted in
-//!   [`RemoteCluster::put_stalls`] and surfaced as
-//!   `ClientStats::put_pipeline_stalls`.
-//! * **Batch reads** ([`CacheBackend::lookup_many`]) fan a read set out as
-//!   one `MultiGet` per involved ring node — scatter first, then gather —
-//!   so a transaction's whole read set costs one round trip instead of one
-//!   per key.
-//! * **Batch writes** ([`CacheBackend::insert_many`]) ship one `MultiPut`
-//!   frame per node, acked as a unit.
+//! it to every node (`RingEpoch`). Epoch-stamped batches from a client still
+//! routing on an older ring draw a typed [`wire::Response::WrongEpoch`]
+//! redirect ([`RemoteCluster::wrong_epoch_redirects`]) instead of silently
+//! missing on keys that moved.
 
+#![cfg_attr(not(test), deny(clippy::expect_used, clippy::unwrap_used))]
+
+use std::borrow::Borrow;
 use std::collections::BTreeMap;
+use std::io::ErrorKind;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
-use cache_server::{CacheCluster, CacheStats, LookupOutcome, LookupRequest, RingBuilder, RingView};
+use cache_server::{
+    CacheCluster, CacheStats, LookupOutcome, LookupRequest, MissKind, RingBuilder, RingView,
+};
 use mvdb::InvalidationMessage;
-use obs::{Histogram, MetricsSnapshot, Registry};
+use obs::{Histogram, MetricsSnapshot, Registry, StripedCounter};
 use parking_lot::{Mutex, MutexGuard, RwLock};
 use txtypes::{CacheKey, Error, Result, TagSet, Timestamp, ValidityInterval, WallClock};
 use wire::{
-    Connector, FramedStream, GetResult, InvalidationEvent, PutEntry, Request, Response,
-    TcpConnector, Transport,
+    Connector, FramedStream, InvalidationEvent, PutEntry, Request, Response, TcpConnector,
+    Transport,
 };
 
 use crate::config::BackendKind;
@@ -121,9 +126,7 @@ pub trait CacheBackend: Send + Sync + std::fmt::Debug {
     /// Looks up a single key: a one-element [`CacheBackend::lookup_many`]
     /// by default; backends may override with a single-key fast path.
     fn lookup(&self, key: &CacheKey, request: &LookupRequest) -> LookupOutcome {
-        self.lookup_many(std::slice::from_ref(key), request)
-            .pop()
-            .expect("one outcome per key")
+        sole_outcome(self.lookup_many(std::slice::from_ref(key), request))
     }
 
     /// Inserts a batch of computed values (§6.1). The remote backend ships
@@ -280,11 +283,8 @@ impl Default for RemoteOptions {
 /// Most `Put` acks a connection may leave uncollected. Unbounded pipelining
 /// would eventually fill both transport buffer directions on an insert-heavy
 /// burst (the server blocks writing acks nobody reads, then stops reading)
-/// and stall until the op timeout; bounding the window keeps it safely below
-/// any practical socket-buffer size. Acks that arrived while other requests
-/// were being awaited are swept from the mailbox for free, so an insert only
-/// *blocks* (a [`RemoteCluster::put_stalls`] event) when the window is full
-/// of acks genuinely still in flight.
+/// and stall until the op timeout; this window stays safely below any
+/// practical socket-buffer size.
 const MAX_PENDING_PUTS: u32 = 64;
 
 /// Client-side opcode labels, indexed by [`client_op_index`]; the same
@@ -307,18 +307,13 @@ const CLIENT_OP_LABELS: [&str; 13] = [
     "metrics",
 ];
 
-/// The [`CLIENT_OP_LABELS`] slot for the scatter-gather `MultiGet`, whose
-/// gather site no longer holds the request it timed.
-const MULTI_GET_OP: usize = 3;
-
-/// The slot in [`CLIENT_OP_LABELS`] (and the RTT histogram bank) for a
-/// request.
+/// A request's slot in [`CLIENT_OP_LABELS`] and the RTT histogram bank.
 fn client_op_index(request: &Request) -> usize {
     match request {
         Request::Ping { .. } => 0,
         Request::VersionedGet { .. } => 1,
         Request::Put { .. } => 2,
-        Request::MultiGet { .. } => MULTI_GET_OP,
+        Request::MultiGet { .. } => 3,
         Request::MultiPut { .. } => 4,
         Request::InvalidationBatch { .. } => 5,
         Request::EvictStale { .. } => 6,
@@ -331,25 +326,45 @@ fn client_op_index(request: &Request) -> usize {
     }
 }
 
-/// The client's round-trip observability: one latency histogram per opcode,
+/// The client's observability registry: the cluster's failure and
+/// degradation counters, and one round-trip latency histogram per opcode,
 /// recorded from just before a frame is written to just after its response
 /// is decoded (connection healing is excluded — a reconnect is not a round
-/// trip). Only *successful* exchanges are recorded; failures degrade and
-/// are visible through the cluster's failure counters instead.
+/// trip). Only *successful* exchanges are timed; failures degrade and show
+/// in the counters instead. The hot path works through the cached handles
+/// and never touches the registry lock.
 struct ClientObs {
     registry: Registry,
-    /// Cached handles, indexed by [`client_op_index`]: the hot path never
-    /// touches the registry lock.
+    /// Indexed by [`client_op_index`].
     rtt_us: [Arc<Histogram>; CLIENT_OP_LABELS.len()],
+    // Each documented on the `RemoteCluster` accessor that reads it.
+    degraded: Arc<StripedCounter>,
+    reconnects: Arc<StripedCounter>,
+    put_stalls: Arc<StripedCounter>,
+    replica_fallbacks: Arc<StripedCounter>,
+    wrong_epoch_redirects: Arc<StripedCounter>,
+    failovers: Arc<StripedCounter>,
+    rejoins: Arc<StripedCounter>,
+    migration_fills: Arc<StripedCounter>,
 }
 
 impl ClientObs {
     fn new() -> ClientObs {
         let registry = Registry::new();
-        let rtt_us = std::array::from_fn(|i| {
-            registry.histogram(&format!("client.rtt.{}.us", CLIENT_OP_LABELS[i]))
-        });
-        ClientObs { registry, rtt_us }
+        ClientObs {
+            rtt_us: std::array::from_fn(|i| {
+                registry.histogram(&format!("client.rtt.{}.us", CLIENT_OP_LABELS[i]))
+            }),
+            degraded: registry.counter("client.degraded.ops"),
+            reconnects: registry.counter("client.reconnects"),
+            put_stalls: registry.counter("client.put.stalls"),
+            replica_fallbacks: registry.counter("client.replica.fallbacks"),
+            wrong_epoch_redirects: registry.counter("client.wrong_epoch.redirects"),
+            failovers: registry.counter("client.failovers"),
+            rejoins: registry.counter("client.rejoins"),
+            migration_fills: registry.counter("client.migration.fills"),
+            registry,
+        }
     }
 
     /// Records one completed round trip for the opcode slot.
@@ -358,36 +373,123 @@ impl ClientObs {
     }
 }
 
-/// A scattered node's state during a `lookup_many` gather: the node's index
-/// in the topology snapshot, its held connection lock, the in-flight
-/// MultiGet's correlation id, and when the frame was written (for the
-/// round-trip histogram).
-type InFlightGet<'a, T> = (usize, MutexGuard<'a, NodeConn<T>>, u64, Instant);
+/// What became of one funnelled request.
+enum Delivery {
+    /// The node could not be reached or answered wrongly. The failure is
+    /// already absorbed; the caller only degrades.
+    Failed,
+    /// A put, written: its ack is owed on the connection, to be collected by
+    /// whichever conversation next reads it.
+    Pipelined,
+    /// The node's (non-error, fitting) reply.
+    Replied(Response),
+}
 
-/// One pooled node connection plus its pipelining state.
-struct NodeConn<T> {
-    /// The framed stream, or `None` until (re)connected.
-    framed: Option<FramedStream<T>>,
-    /// `Put`/`MultiPut` frames written whose acks have not been collected
-    /// yet. The multiplexed stream matches acks by correlation id, so they
-    /// are collected whenever convenient — from the mailbox after any other
-    /// exchange, or on the wire when the pipeline bound is hit.
+/// The frame shape a read's per-node share travels in — the only thing
+/// `lookup` and `lookup_many` differ in. `Single` keeps the one-key read the
+/// cheapest frame there is (no epoch, no counts); `Batch` carries any number
+/// of keys and the ring epoch they were routed on.
+#[derive(Clone, Copy)]
+enum GetShape {
+    /// `VersionedGet` → `Hit | Miss`.
+    Single,
+    /// `MultiGet` → `MultiGetResult`.
+    Batch,
+}
+
+impl GetShape {
+    /// The request carrying `keys[share]` to one node.
+    fn frame(self, epoch: u64, keys: &[CacheKey], share: &[usize], at: &LookupRequest) -> Request {
+        match (self, share) {
+            (GetShape::Single, &[pos]) => Request::VersionedGet {
+                key: keys[pos].clone(),
+                pinset_lo: at.pinset_lo,
+                pinset_hi: at.pinset_hi,
+                freshness_lo: at.freshness_lo,
+            },
+            _ => Request::MultiGet {
+                epoch,
+                keys: share.iter().map(|&pos| keys[pos].clone()).collect(),
+                pinset_lo: at.pinset_lo,
+                pinset_hi: at.pinset_hi,
+                freshness_lo: at.freshness_lo,
+            },
+        }
+    }
+
+    /// One outcome per key of the share, in request order, out of a reply
+    /// that [`reply_fits`] accepted; a `Hit | Miss` reply is a one-element
+    /// list.
+    fn outcomes(response: Response) -> Vec<LookupOutcome> {
+        match response {
+            Response::MultiGetResult { results } => results.into_iter().map(Into::into).collect(),
+            single => LookupOutcome::try_from(single).into_iter().collect(),
+        }
+    }
+}
+
+/// Whether a well-formed reply has a shape its request can be answered
+/// with. The funnel treats a misfit like a transport failure — it is a
+/// protocol bug on the node, and nothing later on the connection can be
+/// trusted to line up. Only reads are checked: every other opcode's caller
+/// ignores the reply body (`stats` filters its own).
+fn reply_fits(request: &Request, response: &Response) -> bool {
+    match (request, response) {
+        (Request::VersionedGet { .. }, reply) => {
+            matches!(reply, Response::Hit { .. } | Response::Miss { .. })
+        }
+        (Request::MultiGet { keys, .. }, Response::MultiGetResult { results }) => {
+            results.len() == keys.len()
+        }
+        // A typed redirect, not a node failure: the read loop counts it.
+        (Request::MultiGet { .. }, reply) => matches!(reply, Response::WrongEpoch { .. }),
+        _ => true,
+    }
+}
+
+fn unexpected_reply(request: &Request, response: &Response) -> wire::WireError {
+    let op = CLIENT_OP_LABELS[client_op_index(request)];
+    io_error(
+        ErrorKind::InvalidData,
+        format!("unexpected {op} reply: {response:?}"),
+    )
+}
+
+fn io_error(kind: ErrorKind, message: impl Into<String>) -> wire::WireError {
+    wire::WireError::Io(std::io::Error::new(kind, message.into()))
+}
+
+/// A written request the funnel still owes a gather: its slot in the request
+/// list, the node's held connection lock, the correlation id, the send time.
+type InFlight<'a, T> = (usize, MutexGuard<'a, NodeConn<T>>, u64, Instant);
+
+/// A live connection and the acks still owed on it. The two live and die
+/// together: a dropped connection forgets its outstanding acks, a fresh one
+/// starts with none.
+struct Live<T> {
+    framed: FramedStream<T>,
+    /// `Put`/`MultiPut` frames written whose acks are not collected yet.
     pending_puts: u32,
+}
+
+/// One pooled node connection plus its reconnect state.
+struct NodeConn<T> {
+    /// The connection, or `None` until (re)connected.
+    live: Option<Live<T>>,
     /// Whether this node has ever been connected. A connection established
     /// when this is already `true` is a *heal*: invalidation batches may
     /// have been lost while the node was unreachable, so the node is told to
     /// seal its still-valid entries before serving anything else.
     was_connected: bool,
     /// When the last failed connect attempt happened, for the cooldown.
-    last_failure: Option<std::time::Instant>,
+    last_failure: Option<Instant>,
 }
 
 impl<T> NodeConn<T> {
     /// Drops the connection and starts the reconnect cooldown.
     fn mark_dead(&mut self) {
-        self.framed = None;
-        self.pending_puts = 0;
-        self.last_failure = Some(std::time::Instant::now());
+        self.live = None;
+        self.last_failure = Some(Instant::now());
     }
 }
 
@@ -407,8 +509,7 @@ impl<T> RemoteNode<T> {
         RemoteNode {
             addr: addr.to_string(),
             conn: Mutex::new(NodeConn {
-                framed: None,
-                pending_puts: 0,
+                live: None,
                 was_connected: false,
                 last_failure: None,
             }),
@@ -427,13 +528,8 @@ struct Topology<T> {
     nodes: Vec<Arc<RemoteNode<T>>>,
 }
 
-/// What [`RemoteCluster::snapshot`] hands out: one coherent (view, nodes)
-/// pair cloned out of the topology lock.
-type TopologySnapshot<T> = (Arc<RingView>, Vec<Arc<RemoteNode<T>>>);
-
 /// A cache cluster reached over the wire protocol: one `txcached` server
-/// per ring node, dialled through a [`Connector`] (real TCP by default; the
-/// chaos tests substitute a [`wire::SimNet`]).
+/// per ring node, dialled through a [`Connector`] (real TCP by default).
 pub struct RemoteCluster<C: Connector = TcpConnector> {
     connector: C,
     topology: RwLock<Topology<C::Conn>>,
@@ -441,42 +537,19 @@ pub struct RemoteCluster<C: Connector = TcpConnector> {
     /// Mirror of the current view's epoch, readable without the topology
     /// lock (connection healing re-announces it).
     epoch: AtomicU64,
-    /// Operations absorbed as misses because of transport failures.
-    degraded: AtomicU64,
-    /// Connections healed after a failure (startup connects not counted).
-    reconnects: AtomicU64,
-    /// Inserts that blocked collecting put acks (pipeline window full with
-    /// no acks already received).
-    put_stalls: AtomicU64,
-    /// Keys whose read was retried on a further replica after the preferred
-    /// one failed (transport error, timeout, or desync — a clean miss from
-    /// a live replica is final and not counted).
-    replica_fallbacks: AtomicU64,
-    /// Epoch-stamped batches a node refused because this client routed them
-    /// on a stale ring.
-    wrong_epoch_redirects: AtomicU64,
-    /// Nodes demoted after `failover_threshold` consecutive failures.
-    failovers: AtomicU64,
-    /// Demoted nodes promoted back by a successful exchange.
-    rejoins: AtomicU64,
-    /// Still-valid entries copied to a key's preferred replica after a
-    /// fallback hit — the read-driven half of rebalancing after a
-    /// membership change or heal.
-    migration_fills: AtomicU64,
     /// Fault-injection mutation hook: when set, healed connections skip the
     /// §4.2 `SealStillValid` step. See
     /// [`RemoteCluster::disable_seal_on_heal_for_fault_injection`].
     seal_on_heal_disabled: AtomicBool,
-    /// Per-opcode round-trip histograms; snapshot through
-    /// [`RemoteCluster::metrics`].
+    /// Failure counters and round-trip histograms ([`RemoteCluster::metrics`]).
     obs: ClientObs,
 }
 
 impl RemoteCluster<TcpConnector> {
     /// Connects to the given `txcached` TCP addresses with default socket
-    /// options. Every address must answer a `Ping`; failing nodes make the
-    /// whole connect fail so a misconfigured deployment is caught at startup
-    /// rather than degrading silently forever.
+    /// options. Every address must accept the connection; one that does not
+    /// fails the whole connect, so a misconfigured deployment is caught at
+    /// startup rather than degrading silently forever.
     pub fn connect(addrs: &[String]) -> Result<RemoteCluster> {
         RemoteCluster::connect_with(addrs, RemoteOptions::default())
     }
@@ -503,35 +576,22 @@ impl<C: Connector> RemoteCluster<C> {
             .add_all(addrs.iter().cloned())
             .replication(options.replication)
             .build(1);
-        let nodes: Vec<Arc<RemoteNode<C::Conn>>> = addrs
-            .iter()
-            .map(|addr| Arc::new(RemoteNode::new(addr)))
-            .collect();
-        let cluster = RemoteCluster {
+        let mut cluster = RemoteCluster {
             connector,
             topology: RwLock::new(Topology {
                 view,
-                nodes: nodes.clone(),
+                nodes: Vec::new(),
             }),
             options,
             epoch: AtomicU64::new(1),
-            degraded: AtomicU64::new(0),
-            reconnects: AtomicU64::new(0),
-            put_stalls: AtomicU64::new(0),
-            replica_fallbacks: AtomicU64::new(0),
-            wrong_epoch_redirects: AtomicU64::new(0),
-            failovers: AtomicU64::new(0),
-            rejoins: AtomicU64::new(0),
-            migration_fills: AtomicU64::new(0),
             seal_on_heal_disabled: AtomicBool::new(false),
             obs: ClientObs::new(),
         };
-        for node in &nodes {
-            let mut conn = node.conn.lock();
-            cluster
-                .ensure_connected(node, &mut conn)
-                .map_err(|e| Error::Network(format!("cache node {}: {e}", node.addr)))?;
-        }
+        let nodes: Result<Vec<_>> = addrs
+            .iter()
+            .map(|addr| cluster.connected_node(addr))
+            .collect();
+        cluster.topology.get_mut().nodes = nodes?;
         Ok(cluster)
     }
 
@@ -552,88 +612,65 @@ impl<C: Connector> RemoteCluster<C> {
     /// unreachable or timed out.
     #[must_use]
     pub fn degraded_ops(&self) -> u64 {
-        self.degraded.load(Ordering::Relaxed)
+        self.obs.degraded.get()
     }
 
     /// Connections healed after a failure (the initial per-node connects at
     /// startup are not counted).
     #[must_use]
     pub fn reconnects(&self) -> u64 {
-        self.reconnects.load(Ordering::Relaxed)
+        self.obs.reconnects.get()
     }
 
     /// Inserts that had to block collecting pipelined put acks because a
     /// node's pipeline window was full with none already received.
     #[must_use]
     pub fn put_stalls(&self) -> u64 {
-        self.put_stalls.load(Ordering::Relaxed)
+        self.obs.put_stalls.get()
     }
 
     /// Keys whose read was served by (or retried on) a further replica
     /// after the preferred one failed.
     #[must_use]
     pub fn replica_fallbacks(&self) -> u64 {
-        self.replica_fallbacks.load(Ordering::Relaxed)
+        self.obs.replica_fallbacks.get()
     }
 
     /// Epoch-stamped batches refused by a node because this client routed
     /// them on a stale ring epoch.
     #[must_use]
     pub fn wrong_epoch_redirects(&self) -> u64 {
-        self.wrong_epoch_redirects.load(Ordering::Relaxed)
+        self.obs.wrong_epoch_redirects.get()
     }
 
     /// Nodes demoted after [`RemoteOptions::failover_threshold`]
     /// consecutive failed exchanges.
     #[must_use]
     pub fn failovers(&self) -> u64 {
-        self.failovers.load(Ordering::Relaxed)
+        self.obs.failovers.get()
     }
 
     /// Demoted nodes promoted back to service by a successful exchange.
     #[must_use]
     pub fn rejoins(&self) -> u64 {
-        self.rejoins.load(Ordering::Relaxed)
+        self.obs.rejoins.get()
     }
 
     /// Still-valid entries copied to a key's preferred replica after a
     /// fallback hit (read-driven rebalancing after a join or heal).
     #[must_use]
     pub fn migration_fills(&self) -> u64 {
-        self.migration_fills.load(Ordering::Relaxed)
+        self.obs.migration_fills.get()
     }
 
-    /// A merged snapshot of the client's observability registry: per-opcode
+    /// A snapshot of the client's observability registry: per-opcode
     /// round-trip histograms (`client.rtt.<op>.us`, successful exchanges
-    /// only) plus the cluster's failure and degradation counters, in one
-    /// sorted namespace. Round trips time frame-write to response-decode on
-    /// this client's side of the wire, so comparing `client.rtt.get.us`
-    /// against a node's `server.req.get.us` isolates the network's share.
+    /// only, frame-write to response-decode on this side of the wire) and
+    /// the cluster's failure and degradation counters, in one sorted
+    /// namespace.
     #[must_use]
     pub fn metrics(&self) -> MetricsSnapshot {
-        let mut snap = self.obs.registry.snapshot();
-        let load = |c: &AtomicU64| c.load(Ordering::Relaxed);
-        snap.counters.extend([
-            ("client.degraded.ops".to_string(), load(&self.degraded)),
-            ("client.failovers".to_string(), load(&self.failovers)),
-            (
-                "client.migration.fills".to_string(),
-                load(&self.migration_fills),
-            ),
-            ("client.put.stalls".to_string(), load(&self.put_stalls)),
-            ("client.reconnects".to_string(), load(&self.reconnects)),
-            ("client.rejoins".to_string(), load(&self.rejoins)),
-            (
-                "client.replica.fallbacks".to_string(),
-                load(&self.replica_fallbacks),
-            ),
-            (
-                "client.wrong_epoch.redirects".to_string(),
-                load(&self.wrong_epoch_redirects),
-            ),
-        ]);
-        snap.counters.sort_by(|a, b| a.0.cmp(&b.0));
-        snap
+        self.obs.registry.snapshot()
     }
 
     /// Drops every pooled connection and starts each node's reconnect
@@ -675,38 +712,21 @@ impl<C: Connector> RemoteCluster<C> {
     /// publishes the next ring epoch, and announces the epoch to every
     /// node so stale-stamped batches are fenced. Returns the new epoch.
     pub fn join_node(&self, addr: &str) -> Result<u64> {
-        let node = Arc::new(RemoteNode::new(addr));
-        {
-            let mut conn = node.conn.lock();
-            self.ensure_connected(&node, &mut conn)
-                .map_err(|e| Error::Network(format!("cache node {addr}: {e}")))?;
-        }
-        let epoch = {
-            let mut topology = self.topology.write();
+        let node = self.connected_node(addr)?;
+        self.republish(|topology| {
             if topology.nodes.iter().any(|n| n.addr == addr) {
                 return Err(Error::Network(format!("cache node {addr} already joined")));
             }
-            let next = topology
-                .view
-                .builder()
-                .add(addr)
-                .build(topology.view.epoch() + 1);
             topology.nodes.push(node);
-            topology.view = next;
-            let epoch = topology.view.epoch();
-            self.epoch.store(epoch, Ordering::SeqCst);
-            epoch
-        };
-        self.announce_epoch(epoch);
-        Ok(epoch)
+            Ok(topology.view.builder().add(addr))
+        })
     }
 
     /// Removes a node from the ring at runtime, publishing and announcing
     /// the next ring epoch. Its keys are served by the surviving replicas
     /// (re-cached on first miss). Returns the new epoch.
     pub fn leave_node(&self, addr: &str) -> Result<u64> {
-        let epoch = {
-            let mut topology = self.topology.write();
+        self.republish(|topology| {
             let Some(pos) = topology.nodes.iter().position(|n| n.addr == addr) else {
                 return Err(Error::Network(format!("cache node {addr} is not joined")));
             };
@@ -714,305 +734,293 @@ impl<C: Connector> RemoteCluster<C> {
                 return Err(Error::Network("cannot remove the last cache node".into()));
             }
             topology.nodes.remove(pos);
-            topology.view = topology
-                .view
-                .builder()
-                .remove(addr)
-                .build(topology.view.epoch() + 1);
-            let epoch = topology.view.epoch();
-            self.epoch.store(epoch, Ordering::SeqCst);
-            epoch
+            Ok(topology.view.builder().remove(addr))
+        })
+    }
+
+    /// Applies a membership edit (which keeps the node handles index-aligned
+    /// with the ring it returns), publishes the result as the next ring
+    /// epoch and announces that epoch to every node. Announcement failures
+    /// are absorbed: an unreachable node learns the epoch when its
+    /// connection heals (see [`RemoteCluster::dial`]).
+    fn republish(
+        &self,
+        edit: impl FnOnce(&mut Topology<C::Conn>) -> Result<RingBuilder>,
+    ) -> Result<u64> {
+        let epoch = {
+            let mut topology = self.topology.write();
+            let next = topology.view.epoch() + 1;
+            topology.view = edit(&mut topology)?.build(next);
+            self.epoch.store(next, Ordering::SeqCst);
+            next
         };
-        self.announce_epoch(epoch);
+        self.broadcast(&Request::RingEpoch { epoch });
         Ok(epoch)
     }
 
-    /// One coherent membership snapshot: the view plus its index-aligned
-    /// node handles.
-    fn snapshot(&self) -> TopologySnapshot<C::Conn> {
+    /// One coherent membership snapshot: the view and its node handles.
+    fn snapshot(&self) -> Topology<C::Conn> {
         let topology = self.topology.read();
-        (Arc::clone(&topology.view), topology.nodes.clone())
-    }
-
-    /// Broadcasts a `RingEpoch` announcement to every node. Failures are
-    /// absorbed: an unreachable node learns the epoch when its connection
-    /// heals (see [`RemoteCluster::ensure_connected`]).
-    fn announce_epoch(&self, epoch: u64) {
-        self.broadcast(&Request::RingEpoch { epoch });
-    }
-
-    /// Records a failed exchange against a node's health; crossing the
-    /// failover threshold demotes it (successors take over reads).
-    fn note_failure(&self, node: &RemoteNode<C::Conn>) {
-        let failures = node.consecutive_failures.fetch_add(1, Ordering::Relaxed) + 1;
-        if failures >= self.options.failover_threshold && !node.down.swap(true, Ordering::Relaxed) {
-            self.failovers.fetch_add(1, Ordering::Relaxed);
+        Topology {
+            view: Arc::clone(&topology.view),
+            nodes: topology.nodes.clone(),
         }
     }
 
-    /// Records a successful exchange: resets the failure streak and
-    /// promotes the node back if it was demoted.
-    fn note_success(&self, node: &RemoteNode<C::Conn>) {
-        node.consecutive_failures.store(0, Ordering::Relaxed);
-        if node.down.swap(false, Ordering::Relaxed) {
-            self.rejoins.fetch_add(1, Ordering::Relaxed);
-        }
+    /// Connects a node that is not part of the topology yet (startup, join).
+    /// Nothing else can hold the fresh handle, so its connection state is
+    /// reached without taking the lock.
+    fn connected_node(&self, addr: &str) -> Result<Arc<RemoteNode<C::Conn>>> {
+        let mut node = RemoteNode::new(addr);
+        self.ensure_connected(addr, node.conn.get_mut())
+            .map_err(|e| Error::Network(format!("cache node {addr}: {e}")))?;
+        Ok(Arc::new(node))
     }
 
-    fn ensure_connected(
+    /// Returns the node's live connection, establishing (or healing) it
+    /// first if there is none.
+    fn ensure_connected<'c>(
         &self,
-        node: &RemoteNode<C::Conn>,
-        conn: &mut NodeConn<C::Conn>,
-    ) -> wire::Result<()> {
-        if conn.framed.is_some() {
-            return Ok(());
-        }
-        // Fail fast while the cooldown runs: one caller already paid the
-        // connect timeout; everyone else degrades immediately instead of
-        // queueing behind repeated connection attempts to a dead node.
-        if let Some(at) = conn.last_failure {
-            if at.elapsed() < self.options.retry_cooldown {
-                return Err(wire::WireError::Io(std::io::Error::new(
-                    std::io::ErrorKind::ConnectionRefused,
+        addr: &str,
+        conn: &'c mut NodeConn<C::Conn>,
+    ) -> wire::Result<&'c mut Live<C::Conn>> {
+        if conn.live.is_none() {
+            // Fail fast while the cooldown runs: one caller already paid the
+            // connect timeout; everyone else degrades immediately instead of
+            // queueing behind repeated connection attempts to a dead node.
+            if conn
+                .last_failure
+                .is_some_and(|at| at.elapsed() < self.options.retry_cooldown)
+            {
+                return Err(io_error(
+                    ErrorKind::ConnectionRefused,
                     "node in reconnect cooldown",
-                )));
+                ));
             }
+            let heal = conn.was_connected;
+            let framed = self
+                .dial(addr, heal)
+                .inspect_err(|_| conn.last_failure = Some(Instant::now()))?;
+            conn.last_failure = None;
+            conn.was_connected = true;
+            if heal {
+                self.obs.reconnects.bump();
+            }
+            conn.live = Some(Live {
+                framed,
+                pending_puts: 0,
+            });
         }
-        let connected = (|| -> wire::Result<FramedStream<C::Conn>> {
-            let stream = self
-                .connector
-                .connect(&node.addr, self.options.connect_timeout)
-                .map_err(wire::WireError::Io)?;
-            stream
-                .set_io_timeout(Some(self.options.op_timeout))
-                .map_err(wire::WireError::Io)?;
-            let mut framed = FramedStream::new(stream);
-            // A heal: the node may have missed invalidation batches while
-            // unreachable. Before it serves anything, its still-valid
-            // entries are sealed at its current invalidation horizon so a
-            // later heartbeat cannot extend results whose invalidation was
-            // lost (the reliable-multicast recovery rule of §4.2).
-            if conn.was_connected && !self.seal_on_heal_disabled.load(Ordering::SeqCst) {
-                match framed.call(&Request::SealStillValid)?.into_result()? {
-                    Response::Sealed { .. } => {}
-                    other => {
-                        return Err(wire::WireError::Io(std::io::Error::new(
-                            std::io::ErrorKind::InvalidData,
-                            format!("unexpected seal reply: {other:?}"),
-                        )))
-                    }
-                }
-            }
-            // Tell the node which ring epoch this client routes with, so
-            // epoch-stamped batches are fenced from the first frame (and a
-            // node that was unreachable during a membership change catches
-            // up as soon as it heals). Epoch 1 is the initial, never-changed
-            // membership: announcing it would fence nothing (nodes treat an
-            // unannounced ring as unfenced), so the handshake is skipped and
-            // the connect conversation stays one round trip shorter until
-            // the first join/leave.
-            let epoch = self.epoch.load(Ordering::SeqCst);
-            if epoch > 1 {
-                match framed.call(&Request::RingEpoch { epoch })?.into_result()? {
-                    Response::EpochAck { .. } => {}
-                    other => {
-                        return Err(wire::WireError::Io(std::io::Error::new(
-                            std::io::ErrorKind::InvalidData,
-                            format!("unexpected epoch reply: {other:?}"),
-                        )))
-                    }
-                }
-            }
-            Ok(framed)
-        })();
-        match connected {
-            Ok(framed) => {
-                conn.framed = Some(framed);
-                conn.pending_puts = 0;
-                conn.last_failure = None;
-                if conn.was_connected {
-                    self.reconnects.fetch_add(1, Ordering::Relaxed);
-                }
-                conn.was_connected = true;
+        conn.live
+            .as_mut()
+            .ok_or_else(|| io_error(ErrorKind::NotConnected, "no live connection"))
+    }
+
+    /// Dials `addr` and runs the connect-time handshakes; `heal` says the
+    /// node has been connected before.
+    fn dial(&self, addr: &str, heal: bool) -> wire::Result<FramedStream<C::Conn>> {
+        let stream = self.connector.connect(addr, self.options.connect_timeout)?;
+        stream.set_io_timeout(Some(self.options.op_timeout))?;
+        let mut framed = FramedStream::new(stream);
+        let mut handshake = |request: Request, fits: fn(&Response) -> bool| {
+            let response = framed.call(&request)?.into_result()?;
+            if fits(&response) {
                 Ok(())
+            } else {
+                Err(unexpected_reply(&request, &response))
             }
-            Err(e) => {
-                conn.last_failure = Some(std::time::Instant::now());
-                Err(e)
-            }
+        };
+        // A heal: the node may have missed invalidation batches while
+        // unreachable. Before it serves anything, its still-valid entries
+        // are sealed at its current invalidation horizon so a later
+        // heartbeat cannot extend results whose invalidation was lost (the
+        // reliable-multicast recovery rule of §4.2).
+        if heal && !self.seal_on_heal_disabled.load(Ordering::SeqCst) {
+            handshake(Request::SealStillValid, |r| {
+                matches!(r, Response::Sealed { .. })
+            })?;
         }
+        // Tell the node which ring epoch this client routes with, so
+        // epoch-stamped batches are fenced from the first frame (and a node
+        // that was unreachable during a membership change catches up as soon
+        // as it heals). Epoch 1 is the initial, never-changed membership:
+        // announcing it would fence nothing (nodes treat an unannounced ring
+        // as unfenced), so the handshake is skipped and the connect
+        // conversation stays one round trip shorter until the first
+        // join/leave.
+        let epoch = self.epoch.load(Ordering::SeqCst);
+        if epoch > 1 {
+            handshake(Request::RingEpoch { epoch }, |r| {
+                matches!(r, Response::EpochAck { .. })
+            })?;
+        }
+        Ok(framed)
     }
 
     /// Sweeps put acks that already arrived (parked in the mailbox while
     /// some other response was being awaited) without touching the wire.
     /// Free: never blocks, never reads.
-    fn sweep_parked_acks(&self, conn: &mut NodeConn<C::Conn>) -> wire::Result<()> {
-        if conn.pending_puts == 0 {
-            return Ok(());
-        }
-        let framed = conn.framed.as_mut().expect("swept only when connected");
-        while conn.pending_puts > 0 {
-            match framed.pop_mailbox() {
-                Some((_seq, response)) => {
-                    self.absorb_put_ack(response.into_result()?);
-                    conn.pending_puts -= 1;
-                }
-                None => break,
-            }
+    fn sweep_parked_acks(&self, live: &mut Live<C::Conn>) -> wire::Result<()> {
+        while live.pending_puts > 0 {
+            let Some((_seq, response)) = live.framed.pop_mailbox() else {
+                break;
+            };
+            self.absorb_put_ack(live, response)?;
         }
         Ok(())
     }
 
-    /// Blocks until one outstanding put ack arrives off the wire. Only
-    /// called when the pipeline window is full and the mailbox is empty —
-    /// the genuine stall case.
-    fn collect_one_ack(&self, conn: &mut NodeConn<C::Conn>) -> wire::Result<()> {
-        let framed = conn.framed.as_mut().expect("collected only when connected");
-        match framed.recv_matched()? {
-            Some((_seq, response)) => {
-                self.absorb_put_ack(response.into_result()?);
-                conn.pending_puts -= 1;
-                Ok(())
-            }
-            None => Err(wire::WireError::Io(std::io::Error::new(
-                std::io::ErrorKind::UnexpectedEof,
-                "connection closed with puts outstanding",
-            ))),
-        }
-    }
-
-    /// Inspects a collected put ack: a `WrongEpoch` means the write batch
+    /// Counts one collected put ack. A `WrongEpoch` means the write batch
     /// was refused (the entries were not stored) because this client
     /// stamped it with a stale ring epoch — counted so the redirect is
     /// visible, not silent.
-    fn absorb_put_ack(&self, response: Response) {
-        if matches!(response, Response::WrongEpoch { .. }) {
-            self.wrong_epoch_redirects.fetch_add(1, Ordering::Relaxed);
+    fn absorb_put_ack(&self, live: &mut Live<C::Conn>, response: Response) -> wire::Result<()> {
+        if matches!(response.into_result()?, Response::WrongEpoch { .. }) {
+            self.obs.wrong_epoch_redirects.bump();
         }
+        live.pending_puts -= 1;
+        Ok(())
     }
 
     /// Enforces the [`MAX_PENDING_PUTS`] window before writing another put.
     /// Sweeping the mailbox is free; only if the window is still full does
-    /// the caller genuinely stall on the wire (a counted event).
-    fn bound_put_pipeline(&self, conn: &mut NodeConn<C::Conn>) -> wire::Result<()> {
-        self.sweep_parked_acks(conn)?;
-        if conn.pending_puts >= MAX_PENDING_PUTS {
-            self.put_stalls.fetch_add(1, Ordering::Relaxed);
-            while conn.pending_puts >= MAX_PENDING_PUTS {
-                self.collect_one_ack(conn)?;
-            }
+    /// the caller genuinely stall on the wire (a counted event), blocking
+    /// until enough outstanding acks arrive.
+    fn bound_put_window(&self, live: &mut Live<C::Conn>) -> wire::Result<()> {
+        self.sweep_parked_acks(live)?;
+        if live.pending_puts >= MAX_PENDING_PUTS {
+            self.obs.put_stalls.bump();
+        }
+        while live.pending_puts >= MAX_PENDING_PUTS {
+            let Some((_seq, response)) = live.framed.recv_matched()? else {
+                return Err(io_error(
+                    ErrorKind::UnexpectedEof,
+                    "connection closed with puts outstanding",
+                ));
+            };
+            self.absorb_put_ack(live, response)?;
         }
         Ok(())
     }
 
-    /// Absorbs an operation failure: counts it, tracks the node's health,
-    /// and drops the pooled connection unless the failure was a
-    /// correlation-id desync. A desync stream is still frame-aligned (the
-    /// offending frame was consumed whole), so the connection — and every
-    /// other request multiplexed on it — remains usable; only the awaited
-    /// request degrades, and the node's failover streak is not charged.
+    /// Absorbs an operation failure: counts it and, unless it was a
+    /// correlation-id desync, drops the pooled connection and charges the
+    /// node's failover streak. A desynced stream is still frame-aligned (the
+    /// offending frame was consumed whole), so only the awaited request
+    /// degrades.
     fn absorb_failure(
         &self,
         node: &RemoteNode<C::Conn>,
         conn: &mut NodeConn<C::Conn>,
         error: &wire::WireError,
     ) {
-        self.degraded.fetch_add(1, Ordering::Relaxed);
+        self.obs.degraded.bump();
         if !matches!(error, wire::WireError::Desync { .. }) {
             conn.mark_dead();
-            self.note_failure(node);
-        }
-    }
-
-    /// Runs one request/response exchange against a node, healing the
-    /// connection lazily. On any failure the operation degrades and `None`
-    /// is returned; transport failures additionally drop the pooled
-    /// connection (the next use reconnects).
-    fn exchange(&self, node: &RemoteNode<C::Conn>, request: &Request) -> Option<Response> {
-        let mut conn = node.conn.lock();
-        let result = (|| -> wire::Result<Response> {
-            self.ensure_connected(node, &mut conn)?;
-            let framed = conn.framed.as_mut().expect("just connected");
-            let started = Instant::now();
-            let seq = framed.send_request(request)?;
-            // Awaiting our response parks any put acks that arrive first in
-            // the mailbox; sweep them afterwards so the pipeline window
-            // shrinks without ever paying a dedicated read for acks.
-            let response = framed.recv_for(seq)?.into_result()?;
-            self.obs.record(client_op_index(request), started);
-            self.sweep_parked_acks(&mut conn)?;
-            Ok(response)
-        })();
-        match result {
-            Ok(response) => {
-                self.note_success(node);
-                Some(response)
-            }
-            Err(e) => {
-                self.absorb_failure(node, &mut conn, &e);
-                None
+            // Crossing the failover threshold demotes the node: its
+            // successors take over reads.
+            let failures = node.consecutive_failures.fetch_add(1, Ordering::Relaxed) + 1;
+            if failures >= self.options.failover_threshold
+                && !node.down.swap(true, Ordering::Relaxed)
+            {
+                self.obs.failovers.bump();
             }
         }
     }
 
-    /// Sends one request to every node, *then* collects every response — the
-    /// fan-out pipelining used for invalidation batches and maintenance, so
-    /// total latency is one round trip rather than one per node. Demoted
-    /// nodes are included: broadcasts are the probe traffic that promotes a
-    /// healed node back into service.
-    fn broadcast(&self, request: &Request) -> Vec<Option<Response>> {
-        let (_, nodes) = self.snapshot();
-        let mut guards: Vec<MutexGuard<'_, NodeConn<C::Conn>>> =
-            nodes.iter().map(|n| n.conn.lock()).collect();
-        let mut sent: Vec<Option<(u64, Instant)>> = Vec::with_capacity(guards.len());
-        for (node, conn) in nodes.iter().zip(guards.iter_mut()) {
-            let outcome = (|| -> wire::Result<(u64, Instant)> {
-                self.ensure_connected(node, conn)?;
+    /// The scatter–gather funnel (see the module docs): the only function
+    /// that locks a [`NodeConn`] for I/O.
+    ///
+    /// `requests` pairs a node index (into `nodes`) with the frame to send
+    /// it, in *ascending index order*. Scatter, per node: lock, heal the
+    /// connection lazily, write the frame; a put stops there
+    /// ([`Delivery::Pipelined`]) after bounding the ack window. Gather, per
+    /// node still in flight: await the reply by correlation id, check it
+    /// [fits](reply_fits), sweep the put acks that arrived ahead of it,
+    /// record the round trip and credit the node's health. A failure at any
+    /// step is [absorbed](RemoteCluster::absorb_failure) and the other
+    /// nodes' conversations carry on.
+    fn funnel<R: Borrow<Request>>(
+        &self,
+        nodes: &[Arc<RemoteNode<C::Conn>>],
+        requests: &[(usize, R)],
+    ) -> Vec<Delivery> {
+        debug_assert!(requests.windows(2).all(|pair| pair[0].0 < pair[1].0));
+        let mut deliveries: Vec<Delivery> = Vec::with_capacity(requests.len());
+        // Every frame is written before any reply is awaited: the nodes work
+        // concurrently and the call costs one round trip, not one per node.
+        let mut in_flight: Vec<InFlight<'_, C::Conn>> = Vec::new();
+        for (slot, (idx, request)) in requests.iter().enumerate() {
+            let (node, request) = (&nodes[*idx], request.borrow());
+            let pipelined = matches!(request, Request::Put { .. } | Request::MultiPut { .. });
+            let mut conn = node.conn.lock();
+            let sent = (|| -> wire::Result<(u64, Instant)> {
+                let live = self.ensure_connected(&node.addr, &mut conn)?;
+                if pipelined {
+                    self.bound_put_window(live)?;
+                }
+                // A heal is not part of the round trip.
                 let started = Instant::now();
-                let seq = conn
-                    .framed
-                    .as_mut()
-                    .expect("just connected")
-                    .send_request(request)?;
+                let seq = live.framed.send_request(request)?;
+                live.pending_puts += u32::from(pipelined);
                 Ok((seq, started))
             })();
-            match outcome {
-                Ok(stamped) => sent.push(Some(stamped)),
-                Err(e) => {
-                    self.absorb_failure(node, conn, &e);
-                    sent.push(None);
+            deliveries.push(match sent {
+                Ok(_) if pipelined => Delivery::Pipelined,
+                Ok((seq, started)) => {
+                    in_flight.push((slot, conn, seq, started));
+                    Delivery::Failed // until the gather says otherwise
                 }
-            }
+                Err(e) => {
+                    self.absorb_failure(node, &mut conn, &e);
+                    Delivery::Failed
+                }
+            });
         }
-        let mut responses = Vec::with_capacity(guards.len());
-        for ((node, conn), seq) in nodes.iter().zip(guards.iter_mut()).zip(sent) {
-            let Some((seq, started)) = seq else {
-                responses.push(None);
-                continue;
-            };
+        for (slot, mut conn, seq, started) in in_flight {
+            let (idx, request) = &requests[slot];
+            let (node, request) = (&nodes[*idx], request.borrow());
             let received = (|| -> wire::Result<Response> {
-                let response = conn
-                    .framed
+                let live = conn
+                    .live
                     .as_mut()
-                    .expect("sent on this conn")
-                    .recv_for(seq)?
-                    .into_result()?;
-                self.sweep_parked_acks(conn)?;
+                    .ok_or_else(|| io_error(ErrorKind::NotConnected, "no live connection"))?;
+                let response = live.framed.recv_for(seq)?.into_result()?;
+                if !reply_fits(request, &response) {
+                    return Err(unexpected_reply(request, &response));
+                }
+                // While this reply was awaited, put acks that arrived ahead
+                // of it were parked in the mailbox; sweep them now so the
+                // pipeline window shrinks without ever paying a dedicated
+                // read for acks.
+                self.sweep_parked_acks(live)?;
                 Ok(response)
             })();
             match received {
                 Ok(response) => {
                     self.obs.record(client_op_index(request), started);
-                    self.note_success(node);
-                    responses.push(Some(response));
+                    // Any answer ends the failure streak and promotes a
+                    // demoted node back.
+                    node.consecutive_failures.store(0, Ordering::Relaxed);
+                    if node.down.swap(false, Ordering::Relaxed) {
+                        self.obs.rejoins.bump();
+                    }
+                    deliveries[slot] = Delivery::Replied(response);
                 }
-                Err(e) => {
-                    self.absorb_failure(node, conn, &e);
-                    responses.push(None);
-                }
+                Err(e) => self.absorb_failure(node, &mut conn, &e),
             }
         }
-        responses
+        deliveries
+    }
+
+    /// Sends one request to every node in one funnel call — the fan-out used
+    /// for invalidation batches and maintenance. Demoted nodes are included:
+    /// broadcasts are the probe traffic that promotes a healed node back
+    /// into service.
+    fn broadcast(&self, request: &Request) -> Vec<Delivery> {
+        let Topology { nodes, .. } = self.snapshot();
+        let requests: Vec<(usize, &Request)> = (0..nodes.len()).map(|idx| (idx, request)).collect();
+        self.funnel(&nodes, &requests)
     }
 
     /// Copies an entry served by a fallback replica to the key's preferred
@@ -1023,35 +1031,118 @@ impl<C: Connector> RemoteCluster<C> {
     /// trip disappears. Pipelined like any put; failures are absorbed.
     fn migration_fill(
         &self,
-        node: &RemoteNode<C::Conn>,
+        nodes: &[Arc<RemoteNode<C::Conn>>],
+        preferred: usize,
         key: &CacheKey,
-        value: &Bytes,
-        stored_validity: ValidityInterval,
-        tags: &TagSet,
+        hit: &LookupOutcome,
     ) {
-        let mut conn = node.conn.lock();
-        let sent = (|| -> wire::Result<()> {
-            self.ensure_connected(node, &mut conn)?;
-            self.bound_put_pipeline(&mut conn)?;
-            conn.framed
-                .as_mut()
-                .expect("just connected")
-                .send_request(&Request::Put {
-                    key: key.clone(),
-                    value: value.clone(),
-                    validity: stored_validity,
-                    tags: tags.clone(),
-                    now: WallClock::ZERO,
-                })?;
-            Ok(())
-        })();
-        match sent {
-            Ok(()) => {
-                conn.pending_puts += 1;
-                self.migration_fills.fetch_add(1, Ordering::Relaxed);
-            }
-            Err(e) => self.absorb_failure(node, &mut conn, &e),
+        let LookupOutcome::Hit {
+            value,
+            stored_validity,
+            tags,
+            ..
+        } = hit
+        else {
+            return;
+        };
+        let put = Request::Put {
+            key: key.clone(),
+            value: value.clone(),
+            validity: *stored_validity,
+            tags: tags.clone(),
+            now: WallClock::ZERO,
+        };
+        let sent = self.funnel(nodes, &[(preferred, put)]);
+        if matches!(sent[..], [Delivery::Pipelined]) {
+            self.obs.migration_fills.bump();
         }
+    }
+
+    /// The replica-round read loop behind both `lookup` and `lookup_many`;
+    /// `shape` only picks the frame each node's share travels in.
+    ///
+    /// Round 0 routes every key to its preferred replica; keys whose node
+    /// failed or compulsorily missed retry on their next replica in the
+    /// following round. A compulsory miss means the replica simply never saw
+    /// the key — a sibling may still hold it (it was the owner before a join
+    /// or heal). Hits and every other miss kind are final: the replica *has*
+    /// versions and none fit the interval, and fan-out writes mirror versions
+    /// across the set, so siblings would answer identically. A key no
+    /// replica could answer for stays the degraded miss it starts as.
+    fn read_rounds(
+        &self,
+        keys: &[CacheKey],
+        request: &LookupRequest,
+        shape: GetShape,
+    ) -> Vec<LookupOutcome> {
+        let Topology { view, nodes } = self.snapshot();
+        let orders: Vec<Vec<usize>> = keys
+            .iter()
+            .map(|key| self.read_order(&view, &nodes, key))
+            .collect();
+        let mut out: Vec<LookupOutcome> = keys
+            .iter()
+            .map(|_| LookupOutcome::Miss(DEGRADED_MISS))
+            .collect();
+        // Keys that hit a fallback replica: copied to the preferred one after.
+        let mut fills: Vec<usize> = Vec::new();
+        let mut pending: Vec<usize> = (0..keys.len()).collect();
+        for attempt in 0..view.replication().max(1) {
+            // Group this round's keys by the node each tries now; BTreeMap
+            // iteration hands the funnel its nodes in ascending index order.
+            let mut by_node: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
+            for &pos in &pending {
+                if let Some(&idx) = orders[pos].get(attempt) {
+                    by_node.entry(idx).or_default().push(pos);
+                }
+            }
+            if by_node.is_empty() {
+                break;
+            }
+            if attempt > 0 {
+                let retried: u64 = by_node.values().map(|p| p.len() as u64).sum();
+                self.obs.replica_fallbacks.add(retried);
+            }
+            let requests: Vec<(usize, Request)> = by_node
+                .iter()
+                .map(|(&idx, share)| (idx, shape.frame(view.epoch(), keys, share, request)))
+                .collect();
+            let replies = self.funnel(&nodes, &requests);
+            pending = Vec::new();
+            for (share, delivery) in by_node.values().zip(replies) {
+                let results = match delivery {
+                    // The node routes on a different ring epoch than this
+                    // client: a typed redirect, not a node failure. The keys
+                    // degrade (the replicas would refuse identically) until
+                    // the client's ring view catches up.
+                    Delivery::Replied(Response::WrongEpoch { .. }) => {
+                        self.obs.wrong_epoch_redirects.bump();
+                        continue;
+                    }
+                    Delivery::Replied(response) => GetShape::outcomes(response),
+                    // The node's whole share goes to the next replica round.
+                    _ => {
+                        pending.extend_from_slice(share);
+                        continue;
+                    }
+                };
+                for (&pos, outcome) in share.iter().zip(results) {
+                    let retry = matches!(outcome, LookupOutcome::Miss(MissKind::Compulsory))
+                        && orders[pos].len() > attempt + 1;
+                    if outcome.is_hit() && attempt > 0 {
+                        fills.push(pos);
+                    }
+                    out[pos] = outcome;
+                    if retry {
+                        pending.push(pos);
+                    }
+                }
+            }
+        }
+        for pos in fills {
+            self.migration_fill(&nodes, orders[pos][0], &keys[pos], &out[pos]);
+        }
+        out
     }
 
     /// A key's replica indices in read-attempt order: ring order, with
@@ -1091,242 +1182,11 @@ impl<C: Connector> CacheBackend for RemoteCluster<C> {
     }
 
     fn lookup(&self, key: &CacheKey, request: &LookupRequest) -> LookupOutcome {
-        let (view, nodes) = self.snapshot();
-        let order = self.read_order(&view, &nodes, key);
-        let mut first_miss: Option<cache_server::MissKind> = None;
-        for (attempt, &idx) in order.iter().enumerate() {
-            if attempt > 0 {
-                self.replica_fallbacks.fetch_add(1, Ordering::Relaxed);
-            }
-            let response = self.exchange(
-                &nodes[idx],
-                &Request::VersionedGet {
-                    key: key.clone(),
-                    pinset_lo: request.pinset_lo,
-                    pinset_hi: request.pinset_hi,
-                    freshness_lo: request.freshness_lo,
-                },
-            );
-            match response {
-                Some(Response::Hit {
-                    value,
-                    validity,
-                    stored_validity,
-                    tags,
-                }) => {
-                    // Served by a non-preferred replica: copy the entry to
-                    // the preferred one so the next read is one hop.
-                    if attempt > 0 {
-                        self.migration_fill(&nodes[order[0]], key, &value, stored_validity, &tags);
-                    }
-                    return LookupOutcome::Hit {
-                        value,
-                        validity,
-                        stored_validity,
-                        tags,
-                    };
-                }
-                Some(Response::Miss { kind }) => {
-                    let kind: cache_server::MissKind = kind.into();
-                    first_miss.get_or_insert(kind);
-                    // A compulsory miss means the replica simply never saw
-                    // the key — a sibling may still hold it (it was the
-                    // owner before a join or heal), so keep probing. Any
-                    // other miss kind means the replica *has* versions and
-                    // none fit the interval; fan-out writes mirror versions
-                    // across the set, so siblings would answer identically.
-                    if matches!(kind, cache_server::MissKind::Compulsory) {
-                        continue;
-                    }
-                    return LookupOutcome::Miss(kind);
-                }
-                // Unexpected frame or transport failure: try the next
-                // replica; if all fail, serve from the database (§4's
-                // availability model — a cache node that is down is just a
-                // miss).
-                Some(_) | None => continue,
-            }
-        }
-        LookupOutcome::Miss(first_miss.unwrap_or_else(degraded_miss_kind))
+        sole_outcome(self.read_rounds(std::slice::from_ref(key), request, GetShape::Single))
     }
 
     fn lookup_many(&self, keys: &[CacheKey], request: &LookupRequest) -> Vec<LookupOutcome> {
-        if keys.is_empty() {
-            return Vec::new();
-        }
-        let (view, nodes) = self.snapshot();
-        let epoch = view.epoch();
-        let orders: Vec<Vec<usize>> = keys
-            .iter()
-            .map(|key| self.read_order(&view, &nodes, key))
-            .collect();
-        let mut out: Vec<LookupOutcome> = keys
-            .iter()
-            .map(|_| LookupOutcome::Miss(degraded_miss_kind()))
-            .collect();
-        // Keys that hit a fallback replica, to be copied to their preferred
-        // one afterwards (read-driven rebalancing).
-        let mut fills: Vec<usize> = Vec::new();
-        // Attempt 0 routes every key to its preferred replica; keys whose
-        // node failed (transport error, timeout, desync) or compulsorily
-        // missed (a sibling may still hold the entry after a join or heal)
-        // retry on their next replica in the following round. Hits and
-        // non-compulsory misses are final: fan-out writes mirror versions
-        // across the replica set, so a replica that *has* versions answers
-        // for its siblings.
-        let mut pending: Vec<usize> = (0..keys.len()).collect();
-        for attempt in 0..view.replication().max(1) {
-            if pending.is_empty() {
-                break;
-            }
-            // Group this round's keys by the node each tries now; BTreeMap
-            // iteration locks nodes in ascending index order, matching
-            // broadcast (no lock-order inversion).
-            let mut by_node: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
-            for &pos in &pending {
-                if let Some(&idx) = orders[pos].get(attempt) {
-                    by_node.entry(idx).or_default().push(pos);
-                }
-            }
-            if by_node.is_empty() {
-                break;
-            }
-            if attempt > 0 {
-                let retried: u64 = by_node.values().map(|p| p.len() as u64).sum();
-                self.replica_fallbacks.fetch_add(retried, Ordering::Relaxed);
-            }
-            let mut failed: Vec<usize> = Vec::new();
-            // Scatter: lock every involved node and send its share of the
-            // read set as one MultiGet, keeping every node's lookup in
-            // flight concurrently.
-            let mut in_flight: Vec<InFlightGet<'_, C::Conn>> = Vec::new();
-            for (&idx, positions) in &by_node {
-                let node = &nodes[idx];
-                let mut conn = node.conn.lock();
-                let sent = (|| -> wire::Result<(u64, Instant)> {
-                    self.ensure_connected(node, &mut conn)?;
-                    let node_keys: Vec<CacheKey> =
-                        positions.iter().map(|&pos| keys[pos].clone()).collect();
-                    let started = Instant::now();
-                    let seq = conn.framed.as_mut().expect("just connected").send_request(
-                        &Request::MultiGet {
-                            epoch,
-                            keys: node_keys,
-                            pinset_lo: request.pinset_lo,
-                            pinset_hi: request.pinset_hi,
-                            freshness_lo: request.freshness_lo,
-                        },
-                    )?;
-                    Ok((seq, started))
-                })();
-                match sent {
-                    Ok((seq, started)) => in_flight.push((idx, conn, seq, started)),
-                    Err(e) => {
-                        self.absorb_failure(node, &mut conn, &e);
-                        failed.extend_from_slice(positions);
-                    }
-                }
-            }
-            // Gather: each node's single MultiGetResult carries its whole
-            // share in request order. A failed node's keys go to the next
-            // replica round; if every replica fails they stay the degraded
-            // misses they were initialized to.
-            for (idx, mut conn, seq, started) in in_flight {
-                let node = &nodes[idx];
-                let received = (|| -> wire::Result<Response> {
-                    let response = conn
-                        .framed
-                        .as_mut()
-                        .expect("sent on this conn")
-                        .recv_for(seq)?
-                        .into_result()?;
-                    self.sweep_parked_acks(&mut conn)?;
-                    Ok(response)
-                })();
-                match received {
-                    Ok(Response::MultiGetResult { results })
-                        if results.len() == by_node[&idx].len() =>
-                    {
-                        self.obs.record(MULTI_GET_OP, started);
-                        self.note_success(node);
-                        for (&pos, result) in by_node[&idx].iter().zip(results) {
-                            match result {
-                                GetResult::Hit {
-                                    value,
-                                    validity,
-                                    stored_validity,
-                                    tags,
-                                } => {
-                                    if attempt > 0 {
-                                        fills.push(pos);
-                                    }
-                                    out[pos] = LookupOutcome::Hit {
-                                        value,
-                                        validity,
-                                        stored_validity,
-                                        tags,
-                                    };
-                                }
-                                GetResult::Miss { kind } => {
-                                    let kind: cache_server::MissKind = kind.into();
-                                    // Record the first concrete miss kind
-                                    // (overwriting the degraded placeholder,
-                                    // never a previously recorded kind).
-                                    if matches!(
-                                        out[pos],
-                                        LookupOutcome::Miss(cache_server::MissKind::Capacity)
-                                    ) {
-                                        out[pos] = LookupOutcome::Miss(kind);
-                                    }
-                                    if matches!(kind, cache_server::MissKind::Compulsory)
-                                        && orders[pos].len() > attempt + 1
-                                    {
-                                        failed.push(pos);
-                                    }
-                                }
-                            }
-                        }
-                    }
-                    // The node routes on a different ring epoch than this
-                    // client: a typed redirect, not a node failure. The
-                    // keys degrade (the replicas would refuse identically)
-                    // until the client's ring view catches up.
-                    Ok(Response::WrongEpoch { .. }) => {
-                        self.note_success(node);
-                        self.wrong_epoch_redirects.fetch_add(1, Ordering::Relaxed);
-                    }
-                    // A well-formed frame of the wrong shape (or a result
-                    // count that disagrees with the request) is a protocol
-                    // bug on the node: treat it like any transport failure.
-                    Ok(_) => {
-                        self.degraded.fetch_add(1, Ordering::Relaxed);
-                        conn.mark_dead();
-                        self.note_failure(node);
-                        failed.extend_from_slice(&by_node[&idx]);
-                    }
-                    Err(e) => {
-                        self.absorb_failure(node, &mut conn, &e);
-                        failed.extend_from_slice(&by_node[&idx]);
-                    }
-                }
-            }
-            pending = failed;
-        }
-        // Copy fallback hits to their preferred replicas so the next batch
-        // finds them one hop away.
-        for pos in fills {
-            if let LookupOutcome::Hit {
-                value,
-                stored_validity,
-                tags,
-                ..
-            } = &out[pos]
-            {
-                let preferred = orders[pos][0];
-                self.migration_fill(&nodes[preferred], &keys[pos], value, *stored_validity, tags);
-            }
-        }
-        out
+        self.read_rounds(keys, request, GetShape::Batch)
     }
 
     fn insert(
@@ -1337,31 +1197,21 @@ impl<C: Connector> CacheBackend for RemoteCluster<C> {
         tags: TagSet,
         now: WallClock,
     ) {
-        let (view, nodes) = self.snapshot();
+        let Topology { view, nodes } = self.snapshot();
         // Fan the write out to the full replica set — demoted nodes
         // included (a cheap, cooldown-gated probe that re-fills them the
         // moment they heal).
-        for &idx in &view.replicas_for(&key) {
-            let node = &nodes[idx];
-            let mut conn = node.conn.lock();
-            let sent = (|| -> wire::Result<()> {
-                self.ensure_connected(node, &mut conn)?;
-                self.bound_put_pipeline(&mut conn)?;
-                let framed = conn.framed.as_mut().expect("just connected");
-                framed.send_request(&Request::Put {
-                    key: key.clone(),
-                    value: value.clone(),
-                    validity,
-                    tags: tags.clone(),
-                    now,
-                })?;
-                Ok(())
-            })();
-            match sent {
-                Ok(()) => conn.pending_puts += 1,
-                Err(e) => self.absorb_failure(node, &mut conn, &e),
-            }
-        }
+        let mut replicas = view.replicas_for(&key);
+        replicas.sort_unstable();
+        let put = Request::Put {
+            key,
+            value,
+            validity,
+            tags,
+            now,
+        };
+        let requests: Vec<(usize, &Request)> = replicas.iter().map(|&idx| (idx, &put)).collect();
+        self.funnel(&nodes, &requests);
     }
 
     fn insert_many(
@@ -1369,52 +1219,28 @@ impl<C: Connector> CacheBackend for RemoteCluster<C> {
         entries: Vec<(CacheKey, Bytes, ValidityInterval, TagSet)>,
         now: WallClock,
     ) {
-        if entries.is_empty() {
-            return;
-        }
-        let (view, nodes) = self.snapshot();
+        let Topology { view, nodes } = self.snapshot();
         let epoch = view.epoch();
-        // Group entry positions by node across the *full* replica set of
-        // each key (replicated entries appear under several nodes).
-        let mut by_node: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
-        for (pos, (key, ..)) in entries.iter().enumerate() {
+        // Group the entries by node across the *full* replica set of each
+        // key (replicated entries appear under several nodes). One
+        // `MultiPut` is one pipelined ack, however many entries it carries.
+        let mut by_node: BTreeMap<usize, Vec<PutEntry>> = BTreeMap::new();
+        for (key, value, validity, tags) in &entries {
             for idx in view.replicas_for(key) {
-                by_node.entry(idx).or_default().push(pos);
+                by_node.entry(idx).or_default().push(PutEntry {
+                    key: key.clone(),
+                    value: value.clone(),
+                    validity: *validity,
+                    tags: tags.clone(),
+                    now,
+                });
             }
         }
-        for (&idx, positions) in &by_node {
-            let batch: Vec<PutEntry> = positions
-                .iter()
-                .map(|&pos| {
-                    let (key, value, validity, tags) = &entries[pos];
-                    PutEntry {
-                        key: key.clone(),
-                        value: value.clone(),
-                        validity: *validity,
-                        tags: tags.clone(),
-                        now,
-                    }
-                })
-                .collect();
-            let node = &nodes[idx];
-            let mut conn = node.conn.lock();
-            let sent = (|| -> wire::Result<()> {
-                self.ensure_connected(node, &mut conn)?;
-                self.bound_put_pipeline(&mut conn)?;
-                let framed = conn.framed.as_mut().expect("just connected");
-                framed.send_request(&Request::MultiPut {
-                    epoch,
-                    entries: batch,
-                })?;
-                Ok(())
-            })();
-            match sent {
-                // One `MultiPut` is one pipelined ack, however many entries
-                // it carries.
-                Ok(()) => conn.pending_puts += 1,
-                Err(e) => self.absorb_failure(node, &mut conn, &e),
-            }
-        }
+        let requests: Vec<(usize, Request)> = by_node
+            .into_iter()
+            .map(|(idx, entries)| (idx, Request::MultiPut { epoch, entries }))
+            .collect();
+        self.funnel(&nodes, &requests);
     }
 
     fn put_stalls(&self) -> u64 {
@@ -1446,8 +1272,8 @@ impl<C: Connector> CacheBackend for RemoteCluster<C> {
 
     fn stats(&self) -> CacheStats {
         let mut total = CacheStats::default();
-        for response in self.broadcast(&Request::Stats) {
-            if let Some(Response::StatsSnapshot(stats)) = response {
+        for delivery in self.broadcast(&Request::Stats) {
+            if let Delivery::Replied(Response::StatsSnapshot(stats)) = delivery {
                 total.merge(&stats.into());
             }
         }
@@ -1463,8 +1289,13 @@ impl<C: Connector> CacheBackend for RemoteCluster<C> {
 /// closest §8.3 class — the cached data exists somewhere but this deployment
 /// cannot produce it right now — and it keeps degraded operation from
 /// polluting the compulsory/consistency analysis.
-fn degraded_miss_kind() -> cache_server::MissKind {
-    cache_server::MissKind::Capacity
+const DEGRADED_MISS: MissKind = MissKind::Capacity;
+
+/// The outcome of a one-key batch. A backend that breaks the one-outcome-
+/// per-key contract with an empty reply degrades the read instead of
+/// panicking the application.
+fn sole_outcome(mut outcomes: Vec<LookupOutcome>) -> LookupOutcome {
+    outcomes.pop().unwrap_or(LookupOutcome::Miss(DEGRADED_MISS))
 }
 
 #[cfg(test)]
@@ -1475,27 +1306,24 @@ mod tests {
     fn client_op_labels_are_distinct_and_indexed_consistently() {
         let unique: std::collections::HashSet<&str> = CLIENT_OP_LABELS.iter().copied().collect();
         assert_eq!(unique.len(), CLIENT_OP_LABELS.len());
-        assert_eq!(CLIENT_OP_LABELS[MULTI_GET_OP], "multi_get");
-        assert_eq!(
-            client_op_index(&Request::MultiGet {
-                epoch: 1,
-                keys: Vec::new(),
-                pinset_lo: Timestamp(0),
-                pinset_hi: Timestamp(0),
-                freshness_lo: Timestamp(0),
-            }),
-            MULTI_GET_OP
-        );
+        let multi_get = Request::MultiGet {
+            epoch: 1,
+            keys: Vec::new(),
+            pinset_lo: Timestamp(0),
+            pinset_hi: Timestamp(0),
+            freshness_lo: Timestamp(0),
+        };
+        assert_eq!(CLIENT_OP_LABELS[client_op_index(&multi_get)], "multi_get");
         assert_eq!(CLIENT_OP_LABELS[client_op_index(&Request::Stats)], "stats");
     }
 
     #[test]
     fn rtt_histograms_register_under_the_client_namespace() {
         let obs = ClientObs::new();
-        obs.record(MULTI_GET_OP, Instant::now());
+        obs.record(client_op_index(&Request::Stats), Instant::now());
         let snap = obs.registry.snapshot();
         let hist = snap
-            .histogram("client.rtt.multi_get.us")
+            .histogram("client.rtt.stats.us")
             .expect("registered at construction");
         assert_eq!(hist.count, 1);
         assert!(snap.histogram("client.rtt.get.us").is_some());

@@ -174,12 +174,6 @@ impl TxCache {
         drop(rx);
     }
 
-    /// Alias of [`TxCache::pump_invalidations`], kept for callers written
-    /// against the pre-networked API.
-    pub fn deliver_invalidations(&self) {
-        self.pump_invalidations();
-    }
-
     /// Periodic maintenance: forwards invalidations, reaps old unused pinned
     /// snapshots (issuing `UNPIN` to the database), and evicts cache entries
     /// too stale for any current transaction to use.

@@ -19,6 +19,7 @@
 
 use std::collections::HashMap;
 
+use bytes::Bytes;
 use cache_server::{LookupOutcome, LookupRequest};
 use mvdb::{PageCounts, Predicate, QueryResult, SelectQuery, SnapshotId, TxnToken, Value};
 use serde::{de::DeserializeOwned, Serialize};
@@ -232,41 +233,15 @@ impl<'a> Transaction<'a> {
         self.ensure_candidates()?;
         let request = self.lookup_request(mode)?;
 
-        match self.sys.cache.lookup(&key, &request) {
-            LookupOutcome::Hit {
-                value,
-                validity,
-                stored_validity,
-                tags,
-            } => {
-                self.cache_hits += 1;
-                self.sys.stats.cache_hits.bump();
-                if mode == CacheMode::Full {
-                    // Narrow the pin set with the conservative (effective)
-                    // interval and fold the entry's validity and tags into
-                    // every enclosing frame.
-                    self.observe(&validity, &stored_validity, &tags)?;
-                }
-                codec::decode(&value)
-            }
-            LookupOutcome::Miss(_) => {
-                self.cache_misses += 1;
-                self.sys.stats.cache_misses.bump();
-                self.push_frame()?;
-                let result = body(self);
-                let frame = self.pop_frame()?;
-                let value = result?;
-                let encoded = codec::encode(&value)?;
-                self.sys.cache.insert(
-                    key,
-                    encoded,
-                    frame.validity,
-                    frame.tags,
-                    self.sys.clock.now(),
-                );
-                Ok(value)
-            }
+        let outcome = self.sys.cache.lookup(&key, &request);
+        let (value, computed) = self.settle(mode, outcome, body)?;
+        if let Some((encoded, frame)) = computed {
+            let now = self.sys.clock.now();
+            self.sys
+                .cache
+                .insert(key, encoded, frame.validity, frame.tags, now);
         }
+        Ok(value)
     }
 
     /// Invokes a batch of cacheable calls to the same function — one per
@@ -315,31 +290,11 @@ impl<'a> Transaction<'a> {
         let mut results: Vec<R> = Vec::with_capacity(keys.len());
         let mut write_backs = Vec::new();
         for (pos, (key, outcome)) in keys.into_iter().zip(outcomes).enumerate() {
-            match outcome {
-                LookupOutcome::Hit {
-                    value,
-                    validity,
-                    stored_validity,
-                    tags,
-                } => {
-                    self.cache_hits += 1;
-                    self.sys.stats.cache_hits.bump();
-                    if mode == CacheMode::Full {
-                        self.observe(&validity, &stored_validity, &tags)?;
-                    }
-                    results.push(codec::decode(&value)?);
-                }
-                LookupOutcome::Miss(_) => {
-                    self.cache_misses += 1;
-                    self.sys.stats.cache_misses.bump();
-                    self.push_frame()?;
-                    let result = body(self, pos);
-                    let frame = self.pop_frame()?;
-                    let value = result?;
-                    write_backs.push((key, codec::encode(&value)?, frame.validity, frame.tags));
-                    results.push(value);
-                }
+            let (value, computed) = self.settle(mode, outcome, |tx| body(tx, pos))?;
+            if let Some((encoded, frame)) = computed {
+                write_backs.push((key, encoded, frame.validity, frame.tags));
             }
+            results.push(value);
         }
         if !write_backs.is_empty() {
             self.sys
@@ -347,6 +302,51 @@ impl<'a> Transaction<'a> {
                 .insert_many(write_backs, self.sys.clock.now());
         }
         Ok(results)
+    }
+
+    /// Turns one cache lookup outcome into the call's result — the step
+    /// [`Transaction::cached`] and [`Transaction::cached_many`] share. A hit
+    /// is observed and decoded. A miss runs `body` inside its own
+    /// accumulation frame and also returns what to write back: the encoded
+    /// value with the validity and tags the frame accumulated.
+    fn settle<R, F>(
+        &mut self,
+        mode: CacheMode,
+        outcome: LookupOutcome,
+        body: F,
+    ) -> Result<(R, Option<(Bytes, Frame)>)>
+    where
+        R: Serialize + DeserializeOwned,
+        F: FnOnce(&mut Transaction<'a>) -> Result<R>,
+    {
+        match outcome {
+            LookupOutcome::Hit {
+                value,
+                validity,
+                stored_validity,
+                tags,
+            } => {
+                self.cache_hits += 1;
+                self.sys.stats.cache_hits.bump();
+                if mode == CacheMode::Full {
+                    // Narrow the pin set with the conservative (effective)
+                    // interval and fold the entry's validity and tags into
+                    // every enclosing frame.
+                    self.observe(&validity, &stored_validity, &tags)?;
+                }
+                Ok((codec::decode(&value)?, None))
+            }
+            LookupOutcome::Miss(_) => {
+                self.cache_misses += 1;
+                self.sys.stats.cache_misses.bump();
+                self.push_frame()?;
+                let result = body(self);
+                let frame = self.pop_frame()?;
+                let value = result?;
+                let encoded = codec::encode(&value)?;
+                Ok((value, Some((encoded, frame))))
+            }
+        }
     }
 
     // ------------------------------------------------------------------
@@ -464,7 +464,7 @@ impl<'a> Transaction<'a> {
                     self.sys.db.latest_timestamp()
                 };
                 // Make the resulting invalidations visible promptly.
-                self.sys.deliver_invalidations();
+                self.sys.pump_invalidations();
                 Ok(CommitInfo {
                     timestamp,
                     read_only: false,

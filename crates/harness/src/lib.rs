@@ -14,9 +14,9 @@
 //!   peak throughput of the paper's cluster (database-bound unless caching
 //!   shifts the bottleneck), which is what Figures 5 and 7 plot.
 //!
-//! See `DESIGN.md` at the repository root for the experiment-by-experiment
-//! index, and the `bench` crate for the binaries that regenerate each figure
-//! and table.
+//! See "Regenerating the paper's figures" in the root README for the
+//! experiment-by-experiment index, and the `bench` crate for the binaries
+//! that regenerate each figure and table.
 
 #![forbid(unsafe_code)]
 

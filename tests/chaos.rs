@@ -401,6 +401,89 @@ fn multiplexed_client_charges_desyncs_per_request_not_per_connection() {
     server.join().unwrap();
 }
 
+/// A well-formed reply of the wrong shape is a protocol bug on the node:
+/// nothing later on that connection can be trusted to line up. Both read
+/// shapes treat it like a transport failure — the read degrades, the
+/// connection is dropped, and the next use reconnects (sealing first). The
+/// single-key `VersionedGet` used to keep the connection and count nothing.
+#[test]
+fn wrong_shape_reply_to_a_read_drops_the_connection() {
+    use bytes::Bytes;
+    use txcache_repro::cache_server::{LookupOutcome, LookupRequest, MissKind};
+    use txcache_repro::txcache::backend::{CacheBackend, RemoteCluster, RemoteOptions};
+    use txcache_repro::txtypes::{CacheKey, TagSet, Timestamp, ValidityInterval};
+    use txcache_repro::wire::{FramedStream, GetResult, Listener, Response, SimNet};
+
+    for batch in [false, true] {
+        let net = SimNet::new(seed_from_env(11));
+        let listener = net.bind("node-0");
+        let server = std::thread::spawn(move || {
+            let next = |framed: &mut FramedStream<_>| framed.recv_request().unwrap().unwrap().0;
+            // First connection: the read is answered with a put ack.
+            let mut framed = FramedStream::new(listener.accept().unwrap());
+            let get = next(&mut framed);
+            framed.send_response(get, &Response::PutAck).unwrap();
+            // The heal: seal handshake, then the retried read answered
+            // properly in its own shape.
+            let mut framed = FramedStream::new(listener.accept().unwrap());
+            let seal = next(&mut framed);
+            let sealed = Response::Sealed { sealed: 0 };
+            framed.send_response(seal, &sealed).unwrap();
+            let get = next(&mut framed);
+            let (value, tags) = (Bytes::from_static(b"v1"), TagSet::new());
+            let validity = ValidityInterval::unbounded(Timestamp(1));
+            let stored_validity = validity;
+            let answer = if batch {
+                Response::MultiGetResult {
+                    results: vec![GetResult::Hit {
+                        value,
+                        validity,
+                        stored_validity,
+                        tags,
+                    }],
+                }
+            } else {
+                Response::Hit {
+                    value,
+                    validity,
+                    stored_validity,
+                    tags,
+                }
+            };
+            framed.send_response(get, &answer).unwrap();
+        });
+
+        let options = RemoteOptions {
+            retry_cooldown: std::time::Duration::ZERO,
+            ..RemoteOptions::default()
+        };
+        let remote =
+            RemoteCluster::connect_via(net.clone(), &["node-0".to_string()], options).unwrap();
+        let key = CacheKey::new("f", "[1]");
+        let request = LookupRequest::at(Timestamp(1));
+        let read = |remote: &RemoteCluster<SimNet>| {
+            if batch {
+                remote
+                    .lookup_many(std::slice::from_ref(&key), &request)
+                    .remove(0)
+            } else {
+                remote.lookup(&key, &request)
+            }
+        };
+
+        match read(&remote) {
+            LookupOutcome::Miss(MissKind::Capacity) => {}
+            other => panic!("batch={batch}: the misfit must degrade to a miss, got {other:?}"),
+        }
+        assert_eq!(remote.degraded_ops(), 1, "batch={batch}");
+        assert_eq!(remote.reconnects(), 0, "batch={batch}");
+        assert!(read(&remote).is_hit(), "batch={batch}: the retry heals");
+        assert_eq!(remote.reconnects(), 1, "batch={batch}: on a new connection");
+        assert_eq!(remote.degraded_ops(), 1, "batch={batch}");
+        server.join().unwrap();
+    }
+}
+
 /// Port of `net_smoke::healed_connection_seals_still_valid_entries` to the
 /// simulated transport: the same §4.2 recovery rule, with deterministic
 /// partition timing and no real sockets or sleeps.

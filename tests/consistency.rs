@@ -223,9 +223,67 @@ fn scenario_disabled_mode_matches_database_exactly(kind: BackendKind) {
     }
 }
 
+/// `cached_many(name, args, f)` is N × `cached` paying one cache round trip:
+/// two identical banks, one reading both balances as a batch and one call by
+/// call, must agree on every result, commit report, pin set, library counter
+/// and on what the cache nodes end up holding — through an all-miss round,
+/// a partial hit, an invalidation and an all-hit round.
+fn scenario_cached_many_equals_repeated_cached(kind: BackendKind) {
+    let batched = bank(CacheMode::Full, kind);
+    let serial = bank(CacheMode::Full, kind);
+    let balance_of = |tx: &mut Transaction<'_>, account: i64| -> Result<i64> {
+        let q = SelectQuery::table("accounts").filter(Predicate::eq("id", account));
+        Ok(tx.query(&q)?.get(0, "balance")?.as_int().unwrap_or(0))
+    };
+    let read = |bank: &Bank, accounts: &[i64], batch: bool| {
+        let mut tx = bank.txcache.begin_ro(Staleness::seconds(30)).unwrap();
+        let balances: Vec<i64> = if batch {
+            tx.cached_many("balance", accounts, |tx, i| balance_of(tx, accounts[i]))
+                .unwrap()
+        } else {
+            accounts
+                .iter()
+                .map(|&a| tx.cached("balance", &a, |tx| balance_of(tx, a)).unwrap())
+                .collect()
+        };
+        (balances, tx.pin_set_candidates(), tx.commit().unwrap())
+    };
+    let steps: [(&[i64], i64); 5] = [
+        (&[2], 0),     // warm one of the two keys
+        (&[1, 2], 5),  // a partial hit, then a transfer invalidates both
+        (&[1, 2], 0),  // all misses
+        (&[1, 2], -3), // all hits
+        (&[2, 1], 0),  // stale hits or misses, in the other order
+    ];
+    for (step, (accounts, transfer)) in steps.into_iter().enumerate() {
+        assert_eq!(
+            read(&batched, accounts, true),
+            read(&serial, accounts, false),
+            "step {step}"
+        );
+        for bank in [&batched, &serial] {
+            if transfer != 0 {
+                bank.transfer(transfer);
+            }
+            bank.clock.advance_micros(200_000);
+        }
+    }
+    assert_eq!(batched.txcache.stats(), serial.txcache.stats());
+    assert!(batched.txcache.stats().cache_hits >= 3);
+    assert_eq!(
+        batched.txcache.cache().stats(),
+        serial.txcache.cache().stats()
+    );
+}
+
 // ----------------------------------------------------------------------
 // In-process deployment.
 // ----------------------------------------------------------------------
+
+#[test]
+fn cached_many_equals_repeated_cached() {
+    scenario_cached_many_equals_repeated_cached(BackendKind::InProcess);
+}
 
 #[test]
 fn reads_mixing_cache_and_database_see_a_single_snapshot() {
@@ -284,4 +342,9 @@ fn remote_commit_timestamps_provide_causality() {
 #[test]
 fn remote_disabled_mode_matches_database_results_exactly() {
     scenario_disabled_mode_matches_database_exactly(BackendKind::Remote);
+}
+
+#[test]
+fn remote_cached_many_equals_repeated_cached() {
+    scenario_cached_many_equals_repeated_cached(BackendKind::Remote);
 }
