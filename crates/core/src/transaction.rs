@@ -67,6 +67,31 @@ struct ReadOnlyState {
     frames: Vec<Frame>,
 }
 
+impl ReadOnlyState {
+    /// Takes a snapshot the caller has just pinned on the database into the
+    /// pin set. The pincushion owns exactly one database pin per timestamp
+    /// it tracks — the one `reap` hands back for `UNPIN` — so when it tracks
+    /// `ts` already, the caller's pin is a duplicate and is released on the
+    /// spot (it cannot fail: the registration just counted this transaction
+    /// as a user, so the tracked pin is not reaped underneath it).
+    fn acquire_pin(&mut self, sys: &TxCache, ts: Timestamp, at: WallClock) {
+        if sys.pincushion.register(ts, at) {
+            let _ = sys.db.unpin(SnapshotId(ts));
+        }
+        self.pin_set.insert(ts);
+        self.pinned_at.insert(ts, at);
+        self.acquired_pins.push(ts);
+    }
+
+    /// Pins the database's latest snapshot and takes it into the pin set.
+    fn pin_latest(&mut self, sys: &TxCache) -> Timestamp {
+        let (snap, at) = sys.db.pin_latest();
+        sys.stats.new_pins.bump();
+        self.acquire_pin(sys, snap.timestamp(), at);
+        snap.timestamp()
+    }
+}
+
 /// State specific to read/write transactions.
 #[derive(Debug)]
 struct ReadWriteState {
@@ -95,64 +120,39 @@ pub struct Transaction<'a> {
 
 impl<'a> Transaction<'a> {
     pub(crate) fn new_read_only(sys: &'a TxCache, staleness: Staleness) -> Result<Transaction<'a>> {
-        let mut pinned_at = HashMap::new();
-        let mut acquired = Vec::new();
-        let (pin_set, freshness_lo) = match sys.policy() {
-            TimestampPolicy::Lazy => {
-                let fresh = sys.pincushion.fresh_pins(staleness);
-                for p in &fresh {
-                    pinned_at.insert(p.timestamp, p.pinned_at);
-                    acquired.push(p.timestamp);
-                }
-                let freshness_lo = fresh.iter().map(|p| p.timestamp).min();
-                (
-                    PinSet::new(fresh.iter().map(|p| p.timestamp), true),
-                    freshness_lo,
-                )
-            }
-            TimestampPolicy::Eager => {
-                // Choose one timestamp right now: the newest fresh pin if it
-                // is recent enough, otherwise a newly pinned snapshot.
-                let fresh = sys.pincushion.fresh_pins(staleness);
-                for p in &fresh {
-                    pinned_at.insert(p.timestamp, p.pinned_at);
-                    acquired.push(p.timestamp);
-                }
-                let now = sys.clock.now();
-                let threshold = sys.config.pin_reuse_threshold_micros;
-                let reusable = fresh
-                    .first()
-                    .filter(|p| now.since(p.pinned_at) <= threshold)
-                    .map(|p| p.timestamp);
-                let chosen = match reusable {
-                    Some(ts) => {
-                        sys.stats.reused_pins.bump();
-                        ts
-                    }
-                    None => {
-                        let (snap, at) = sys.db.pin_latest();
-                        sys.pincushion.register(snap.timestamp(), at);
-                        sys.stats.new_pins.bump();
-                        pinned_at.insert(snap.timestamp(), at);
-                        acquired.push(snap.timestamp());
-                        snap.timestamp()
-                    }
-                };
-                (PinSet::new([chosen], false), Some(chosen))
-            }
+        let fresh = sys.pincushion.fresh_pins(staleness);
+        let mut ro = ReadOnlyState {
+            staleness,
+            pin_set: PinSet::new(fresh.iter().map(|p| p.timestamp), true),
+            pinned_at: fresh.iter().map(|p| (p.timestamp, p.pinned_at)).collect(),
+            freshness_lo: fresh.iter().map(|p| p.timestamp).min(),
+            acquired_pins: fresh.iter().map(|p| p.timestamp).collect(),
+            db_token: None,
+            chosen_snapshot: None,
+            frames: Vec::new(),
         };
+        if sys.policy() == TimestampPolicy::Eager {
+            // Choose one timestamp right now: the newest fresh pin if it is
+            // recent enough, otherwise a newly pinned snapshot.
+            let now = sys.clock.now();
+            let threshold = sys.config.pin_reuse_threshold_micros;
+            let reusable = fresh
+                .first()
+                .filter(|p| now.since(p.pinned_at) <= threshold)
+                .map(|p| p.timestamp);
+            let chosen = match reusable {
+                Some(ts) => {
+                    sys.stats.reused_pins.bump();
+                    ts
+                }
+                None => ro.pin_latest(sys),
+            };
+            ro.pin_set = PinSet::new([chosen], false);
+            ro.freshness_lo = Some(chosen);
+        }
         Ok(Transaction {
             sys,
-            state: State::ReadOnly(ReadOnlyState {
-                staleness,
-                pin_set,
-                pinned_at,
-                freshness_lo,
-                acquired_pins: acquired,
-                db_token: None,
-                chosen_snapshot: None,
-                frames: Vec::new(),
-            }),
+            state: State::ReadOnly(ro),
             db_queries: 0,
             db_pages: PageCounts::default(),
             cache_hits: 0,
@@ -580,23 +580,13 @@ impl<'a> Transaction<'a> {
     /// pincushion had no sufficiently fresh snapshot, pin the latest one now
     /// (§6.1).
     fn ensure_candidates(&mut self) -> Result<()> {
-        let needs_pin = {
-            let ro = self.read_only_state()?;
-            ro.pin_set.bounds().is_none()
-        };
-        if !needs_pin {
+        if self.read_only_state()?.pin_set.bounds().is_some() {
             return Ok(());
         }
-        let (snap, at) = self.sys.db.pin_latest();
-        self.sys.pincushion.register(snap.timestamp(), at);
-        self.sys.stats.new_pins.bump();
+        let sys = self.sys;
         let ro = self.read_only_state_mut()?;
-        ro.pin_set.insert(snap.timestamp());
-        ro.pinned_at.insert(snap.timestamp(), at);
-        ro.acquired_pins.push(snap.timestamp());
-        if ro.freshness_lo.is_none() {
-            ro.freshness_lo = Some(snap.timestamp());
-        }
+        let ts = ro.pin_latest(sys);
+        ro.freshness_lo.get_or_insert(ts);
         Ok(())
     }
 
@@ -627,15 +617,10 @@ impl<'a> Transaction<'a> {
         };
 
         let chosen = if use_present {
-            let (snap, at) = self.sys.db.pin_latest();
-            self.sys.pincushion.register(snap.timestamp(), at);
-            self.sys.stats.new_pins.bump();
+            let sys = self.sys;
             let ro = self.read_only_state_mut()?;
-            ro.pin_set.insert(snap.timestamp());
             ro.pin_set.remove_present();
-            ro.pinned_at.insert(snap.timestamp(), at);
-            ro.acquired_pins.push(snap.timestamp());
-            snap.timestamp()
+            ro.pin_latest(sys)
         } else {
             self.sys.stats.reused_pins.bump();
             newest
@@ -674,11 +659,7 @@ impl<'a> Transaction<'a> {
                 .filter(|ts| narrowing.contains(*ts))
                 .unwrap_or(narrowing.lower);
             sys.db.pin(ts)?;
-            let at = sys.clock.now();
-            sys.pincushion.register(ts, at);
-            ro.pin_set.insert(ts);
-            ro.pinned_at.insert(ts, at);
-            ro.acquired_pins.push(ts);
+            ro.acquire_pin(sys, ts, sys.clock.now());
         }
         Ok(())
     }

@@ -9,10 +9,18 @@
 //! pincushion also reaps old, unused snapshots by asking the database to
 //! `UNPIN` them.
 //!
+//! **Pin ownership.** The pincushion is the only long-term holder of
+//! database pins: it holds exactly one per timestamp it tracks, and `reap`
+//! hands back exactly that one for `UNPIN`. A library instance that pins a
+//! snapshot registers it here; when [`Pincushion::register`] reports the
+//! timestamp as already tracked, the new pin is a duplicate and the caller
+//! releases it at once. Anything else leaks a pin that holds the database's
+//! vacuum horizon back for good.
+//!
 //! In the paper the pincushion is a separate network daemon; here it is an
-//! in-process service (see DESIGN.md for the substitution rationale). It is
-//! internally locked so any number of simulated application servers can share
-//! one instance.
+//! in-process service in the library tier (the root README's "Architecture"
+//! and "Workspace map" sections), internally locked so any number of
+//! simulated application servers can share one instance.
 
 #![forbid(unsafe_code)]
 

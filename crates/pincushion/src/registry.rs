@@ -1,6 +1,6 @@
 //! The pinned-snapshot table and its maintenance operations.
 
-use std::collections::BTreeMap;
+use std::collections::btree_map::{BTreeMap, Entry};
 
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
@@ -104,18 +104,29 @@ impl Pincushion {
         fresh
     }
 
-    /// Registers a snapshot the library just pinned on the database.
-    /// The snapshot starts with one user (the registering transaction).
-    pub fn register(&self, timestamp: Timestamp, pinned_at: WallClock) -> PinnedSnapshot {
+    /// Registers a snapshot the library just pinned on the database, counting
+    /// the registering transaction as one user of it. Returns `true` if the
+    /// timestamp was already tracked: the pincushion holds exactly one
+    /// database pin per tracked timestamp (the one [`Pincushion::reap`]
+    /// hands back), so the caller's pin is then a duplicate it must `UNPIN`
+    /// itself.
+    pub fn register(&self, timestamp: Timestamp, pinned_at: WallClock) -> bool {
         let mut inner = self.inner.lock();
         inner.stats.registrations += 1;
-        let entry = inner.pins.entry(timestamp).or_insert(PinnedSnapshot {
-            timestamp,
-            pinned_at,
-            in_use: 0,
-        });
-        entry.in_use += 1;
-        *entry
+        match inner.pins.entry(timestamp) {
+            Entry::Occupied(mut tracked) => {
+                tracked.get_mut().in_use += 1;
+                true
+            }
+            Entry::Vacant(slot) => {
+                slot.insert(PinnedSnapshot {
+                    timestamp,
+                    pinned_at,
+                    in_use: 1,
+                });
+                false
+            }
+        }
     }
 
     /// Releases one use of every snapshot in `timestamps`; called when a
@@ -271,9 +282,9 @@ mod tests {
     #[test]
     fn registering_same_snapshot_twice_increments_usage() {
         let (pc, clock) = pc_with_clock();
-        pc.register(Timestamp(5), clock.now());
-        let again = pc.register(Timestamp(5), clock.now());
-        assert_eq!(again.in_use, 2);
+        assert!(!pc.register(Timestamp(5), clock.now()));
+        assert!(pc.register(Timestamp(5), clock.now()), "already tracked");
+        assert_eq!(pc.newest().unwrap().in_use, 2);
         assert_eq!(pc.len(), 1);
     }
 

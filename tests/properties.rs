@@ -521,3 +521,133 @@ fn pin_set_invariant_two_holds_under_real_cache_guarantee() {
     );
     assert_eq!(pin_set.candidates(), vec![Timestamp(50)]);
 }
+
+proptest! {
+    /// Pin ownership: every database pin the library takes is handed to the
+    /// pincushion or released on the spot, and the pincushion gives back
+    /// exactly what it holds. Random interleavings of two overlapping
+    /// read-only transactions (lazy or eager timestamps), cached reads that
+    /// pin a snapshot, planted entries whose bounded validity falls between
+    /// pin-set candidates (the `observe` re-pin), writes, commits, aborts,
+    /// clock jumps and maintenance must leave no pin behind once everything
+    /// has expired and been reaped.
+    #[test]
+    fn database_pins_balance_under_random_transaction_interleavings(
+        ops in proptest::collection::vec((0u8..16, 0usize..4, 0u64..40), 8..80),
+        eager in any::<bool>(),
+    ) {
+        use std::sync::Arc;
+        use txcache_repro::cache_server::CacheCluster;
+        use txcache_repro::mvdb::{
+            ColumnType, Database, DbConfig, Predicate, SelectQuery, TableSchema, Value,
+        };
+        use txcache_repro::pincushion::{Pincushion, PincushionConfig};
+        use txcache_repro::txcache::{TimestampPolicy, Transaction, TxCache, TxCacheConfig};
+        use txcache_repro::txtypes::{Error, SimClock, Staleness, WallClock};
+
+        let clock = SimClock::new();
+        let db = Arc::new(Database::new(DbConfig::default(), clock.clone()));
+        db.create_table(
+            TableSchema::new("accounts")
+                .column("id", ColumnType::Int)
+                .column("balance", ColumnType::Int)
+                .unique_index("id"),
+        )
+        .unwrap();
+        let rows = (0..4).map(|id| vec![Value::Int(id), Value::Int(100)]).collect();
+        db.bulk_load("accounts", rows).unwrap();
+        let txcache = TxCache::new(
+            Arc::clone(&db),
+            Arc::new(CacheCluster::new(2, 1 << 20)),
+            Arc::new(Pincushion::new(PincushionConfig::default(), clock.clone())),
+            clock.clone(),
+            TxCacheConfig {
+                policy: if eager { TimestampPolicy::Eager } else { TimestampPolicy::Lazy },
+                ..TxCacheConfig::default()
+            },
+        );
+        let balance = |tx: &mut Transaction<'_>, account: i64| {
+            tx.cached("balance", &account, |tx| {
+                let q = SelectQuery::table("accounts").filter(Predicate::eq("id", account));
+                Ok(tx.query(&q)?.get(0, "balance")?.as_int().unwrap_or(0))
+            })
+        };
+        // Only ever served from entries the `plant` step put in the cache: a
+        // miss fails the call and writes nothing back.
+        let planted = |tx: &mut Transaction<'_>| {
+            tx.cached("planted", &0i64, |_| {
+                Err::<i64, _>(Error::InvalidState("nothing planted".into()))
+            })
+        };
+        let staleness = [
+            Staleness::Fresh,
+            Staleness::seconds(30),
+            Staleness::seconds(120),
+            Staleness::seconds(120),
+        ];
+
+        let mut commits = vec![db.latest_timestamp()];
+        let mut open: [Option<Transaction<'_>>; 2] = [None, None];
+        for (op, account, n) in ops {
+            let slot = &mut open[account % 2];
+            let id = account as i64;
+            match op {
+                // Reads open their slot's transaction on demand.
+                0..=4 => {
+                    let tx = slot.get_or_insert_with(|| {
+                        txcache.begin_ro(staleness[n as usize % 4]).unwrap()
+                    });
+                    if op < 2 {
+                        balance(tx, id).unwrap();
+                    } else {
+                        drop(planted(tx));
+                    }
+                }
+                5 | 6 => drop(slot.take().map(Transaction::commit)),
+                7 => drop(slot.take().map(Transaction::abort)),
+                8 | 9 => {
+                    let mut rw = txcache.begin_rw().unwrap();
+                    let set = [("balance".to_string(), Value::Int(n as i64))];
+                    rw.update("accounts", &Predicate::eq("id", id), &set)
+                        .unwrap();
+                    commits.push(rw.commit().unwrap().timestamp);
+                    // Past the pin-reuse threshold, so the next query pins
+                    // this state instead of reusing an older snapshot.
+                    clock.advance_secs(6);
+                }
+                10 | 11 => drop(clock.advance_secs(n)),
+                12 => txcache.maintenance(),
+                // Plant an entry valid strictly between the oldest and the
+                // newest tracked snapshot: a transaction that starts with
+                // both as candidates and none in between must re-pin.
+                _ => {
+                    let pins = txcache.pincushion();
+                    let (Some(oldest), Some(newest)) = (pins.oldest(), pins.newest()) else {
+                        continue;
+                    };
+                    let lower = commits.iter().find(|ts| **ts > oldest.timestamp);
+                    let validity =
+                        lower.and_then(|lo| ValidityInterval::bounded(*lo, newest.timestamp));
+                    if let Some(validity) = validity {
+                        let key = CacheKey::new("planted", codec::encode_hex(&0i64).unwrap());
+                        let value = codec::encode(&7i64).unwrap();
+                        txcache.cache().insert(
+                            key,
+                            value,
+                            validity,
+                            TagSet::new(),
+                            WallClock::ZERO,
+                        );
+                    }
+                }
+            }
+        }
+        for tx in open.iter_mut().filter_map(Option::take) {
+            tx.commit().unwrap();
+        }
+        clock.advance_micros(PincushionConfig::default().reap_after_micros + 1);
+        txcache.maintenance();
+        prop_assert_eq!(db.pinned_snapshots(), Vec::new());
+        prop_assert_eq!(db.stats().pins, db.stats().unpins);
+    }
+}
