@@ -412,7 +412,7 @@ fn wrong_shape_reply_to_a_read_drops_the_connection() {
     use txcache_repro::cache_server::{LookupOutcome, LookupRequest, MissKind};
     use txcache_repro::txcache::backend::{CacheBackend, RemoteCluster, RemoteOptions};
     use txcache_repro::txtypes::{CacheKey, TagSet, Timestamp, ValidityInterval};
-    use txcache_repro::wire::{FramedStream, GetResult, Listener, Response, SimNet};
+    use txcache_repro::wire::{FramedStream, Listener, Response, SimNet};
 
     for batch in [false, true] {
         let net = SimNet::new(seed_from_env(11));
@@ -430,25 +430,17 @@ fn wrong_shape_reply_to_a_read_drops_the_connection() {
             let sealed = Response::Sealed { sealed: 0 };
             framed.send_response(seal, &sealed).unwrap();
             let get = next(&mut framed);
-            let (value, tags) = (Bytes::from_static(b"v1"), TagSet::new());
-            let validity = ValidityInterval::unbounded(Timestamp(1));
-            let stored_validity = validity;
+            let hit = LookupOutcome::Hit {
+                value: Bytes::from_static(b"v1"),
+                validity: ValidityInterval::unbounded(Timestamp(1)),
+                stored_validity: ValidityInterval::unbounded(Timestamp(1)),
+                tags: TagSet::new(),
+            };
             let answer = if batch {
-                Response::MultiGetResult {
-                    results: vec![GetResult::Hit {
-                        value,
-                        validity,
-                        stored_validity,
-                        tags,
-                    }],
-                }
+                let results = vec![hit.into()];
+                Response::MultiGetResult { results }
             } else {
-                Response::Hit {
-                    value,
-                    validity,
-                    stored_validity,
-                    tags,
-                }
+                hit.into()
             };
             framed.send_response(get, &answer).unwrap();
         });
