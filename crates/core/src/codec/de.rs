@@ -30,8 +30,16 @@ impl<'de> Decoder<'de> {
         }
     }
 
-    fn take(&mut self, n: usize) -> Result<&'de [u8], CodecError> {
-        if self.pos + n > self.input.len() {
+    /// Bytes not yet consumed.
+    #[must_use]
+    pub fn remaining(&self) -> usize {
+        self.input.len() - self.pos
+    }
+
+    /// Consumes the next `n` bytes. Fails, without reading anything, when
+    /// fewer than `n` remain.
+    pub fn take(&mut self, n: usize) -> Result<&'de [u8], CodecError> {
+        if n > self.remaining() {
             return Err(CodecError(format!(
                 "unexpected end of input: wanted {n} bytes at offset {}",
                 self.pos
@@ -42,32 +50,38 @@ impl<'de> Decoder<'de> {
         Ok(slice)
     }
 
+    /// Consumes the next `N` bytes as an array.
+    pub fn read_array<const N: usize>(&mut self) -> Result<[u8; N], CodecError> {
+        let mut arr = [0u8; N];
+        arr.copy_from_slice(self.take(N)?);
+        Ok(arr)
+    }
+
     fn read_u8(&mut self) -> Result<u8, CodecError> {
         Ok(self.take(1)?[0])
     }
 
     fn read_u32(&mut self) -> Result<u32, CodecError> {
-        let b = self.take(4)?;
-        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
+        Ok(u32::from_le_bytes(self.read_array()?))
     }
 
-    fn read_u64(&mut self) -> Result<u64, CodecError> {
-        let b = self.take(8)?;
-        let mut arr = [0u8; 8];
-        arr.copy_from_slice(b);
-        Ok(u64::from_le_bytes(arr))
+    /// Reads an 8-byte little-endian `u64`.
+    pub fn read_u64(&mut self) -> Result<u64, CodecError> {
+        Ok(u64::from_le_bytes(self.read_array()?))
     }
 
     fn read_i64(&mut self) -> Result<i64, CodecError> {
         Ok(self.read_u64()? as i64)
     }
 
-    fn read_len(&mut self) -> Result<usize, CodecError> {
+    /// Reads a `u64` length prefix.
+    pub fn read_len(&mut self) -> Result<usize, CodecError> {
         let len = self.read_u64()?;
         usize::try_from(len).map_err(|_| CodecError("length overflows usize".into()))
     }
 
-    fn read_str(&mut self) -> Result<&'de str, CodecError> {
+    /// Reads a length-prefixed UTF-8 string, borrowed from the input.
+    pub fn read_str(&mut self) -> Result<&'de str, CodecError> {
         let len = self.read_len()?;
         let bytes = self.take(len)?;
         std::str::from_utf8(bytes).map_err(|e| CodecError(format!("invalid utf-8: {e}")))

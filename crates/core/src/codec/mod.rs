@@ -93,6 +93,227 @@ impl serde::de::Error for CodecError {
     }
 }
 
+/// A value the TxCache binary format can carry: a cacheable function's
+/// arguments (rendered into the cache key) or its result (the cached value).
+///
+/// The format is not self-describing; the decoder must know the type. Every
+/// impl writes exactly the bytes its `decode` consumes:
+///
+/// * integers are widened to 8 bytes little-endian (`i64` for the signed
+///   types, `u64` for the unsigned ones, `isize`/`usize` included);
+/// * `f32` and `f64` are their 4 and 8 IEEE-754 bytes, little-endian;
+/// * `bool` is one byte, 0 or 1; `char` is its scalar value as a 4-byte `u32`;
+/// * `String` and `Vec<T>` are a `u64` length followed by the bytes or the
+///   elements; `()` is nothing;
+/// * `Option<T>` is a 1-byte tag (0 = `None`, 1 = `Some`) then the value;
+/// * tuples and [`codec_struct!`](crate::codec_struct) structs are their
+///   fields in order, with no framing.
+pub trait Codec: Sized {
+    /// Appends this value's encoding to `out`.
+    fn encode(&self, out: &mut Vec<u8>);
+
+    /// Reads one value from the front of `r`. Malformed input is an error,
+    /// never a panic: cached bytes come back from a remote node.
+    fn decode(r: &mut Decoder<'_>) -> Result<Self, CodecError>;
+}
+
+macro_rules! widened_int_codec {
+    ($wide:ty: $($ty:ty),+) => {$(
+        impl Codec for $ty {
+            fn encode(&self, out: &mut Vec<u8>) {
+                out.extend_from_slice(&(*self as $wide).to_le_bytes());
+            }
+
+            fn decode(r: &mut Decoder<'_>) -> Result<Self, CodecError> {
+                let wide = <$wide>::from_le_bytes(r.read_array()?);
+                <$ty>::try_from(wide).map_err(|_| {
+                    CodecError(format!("integer {wide} out of range for {}", stringify!($ty)))
+                })
+            }
+        }
+    )+};
+}
+
+widened_int_codec!(i64: i8, i16, i32, i64, isize);
+widened_int_codec!(u64: u8, u16, u32, u64, usize);
+
+macro_rules! float_codec {
+    ($($ty:ty),+) => {$(
+        impl Codec for $ty {
+            fn encode(&self, out: &mut Vec<u8>) {
+                out.extend_from_slice(&self.to_le_bytes());
+            }
+
+            fn decode(r: &mut Decoder<'_>) -> Result<Self, CodecError> {
+                Ok(<$ty>::from_le_bytes(r.read_array()?))
+            }
+        }
+    )+};
+}
+
+float_codec!(f32, f64);
+
+impl Codec for bool {
+    fn encode(&self, out: &mut Vec<u8>) {
+        out.push(u8::from(*self));
+    }
+
+    fn decode(r: &mut Decoder<'_>) -> Result<Self, CodecError> {
+        match r.read_array()? {
+            [0] => Ok(false),
+            [1] => Ok(true),
+            [other] => Err(CodecError(format!("invalid bool tag {other}"))),
+        }
+    }
+}
+
+impl Codec for char {
+    fn encode(&self, out: &mut Vec<u8>) {
+        out.extend_from_slice(&u32::from(*self).to_le_bytes());
+    }
+
+    fn decode(r: &mut Decoder<'_>) -> Result<Self, CodecError> {
+        let raw = u32::from_le_bytes(r.read_array()?);
+        char::from_u32(raw).ok_or_else(|| CodecError(format!("invalid char {raw:#x}")))
+    }
+}
+
+impl Codec for String {
+    fn encode(&self, out: &mut Vec<u8>) {
+        (self.len() as u64).encode(out);
+        out.extend_from_slice(self.as_bytes());
+    }
+
+    fn decode(r: &mut Decoder<'_>) -> Result<Self, CodecError> {
+        r.read_str().map(str::to_owned)
+    }
+}
+
+impl Codec for () {
+    fn encode(&self, _out: &mut Vec<u8>) {}
+
+    fn decode(_r: &mut Decoder<'_>) -> Result<Self, CodecError> {
+        Ok(())
+    }
+}
+
+impl<T: Codec> Codec for Vec<T> {
+    fn encode(&self, out: &mut Vec<u8>) {
+        (self.len() as u64).encode(out);
+        for item in self {
+            item.encode(out);
+        }
+    }
+
+    fn decode(r: &mut Decoder<'_>) -> Result<Self, CodecError> {
+        let len = r.read_len()?;
+        // Every value of a non-zero-sized type encodes to at least one byte,
+        // so a count above the bytes left is corrupt: refuse it before
+        // reserving room for it.
+        if len > r.remaining() && std::mem::size_of::<T>() != 0 {
+            return Err(CodecError(format!(
+                "length {len} exceeds the {} bytes left",
+                r.remaining()
+            )));
+        }
+        let mut out = Vec::with_capacity(len);
+        for _ in 0..len {
+            out.push(T::decode(r)?);
+        }
+        Ok(out)
+    }
+}
+
+impl<T: Codec> Codec for Option<T> {
+    fn encode(&self, out: &mut Vec<u8>) {
+        match self {
+            None => out.push(0),
+            Some(value) => {
+                out.push(1);
+                value.encode(out);
+            }
+        }
+    }
+
+    fn decode(r: &mut Decoder<'_>) -> Result<Self, CodecError> {
+        match r.read_array()? {
+            [0] => Ok(None),
+            [1] => T::decode(r).map(Some),
+            [other] => Err(CodecError(format!("invalid option tag {other}"))),
+        }
+    }
+}
+
+macro_rules! tuple_codec {
+    ($($name:ident)+) => {
+        impl<$($name: Codec),+> Codec for ($($name,)+) {
+            #[allow(non_snake_case)]
+            fn encode(&self, out: &mut Vec<u8>) {
+                let ($($name,)+) = self;
+                $($name.encode(out);)+
+            }
+
+            fn decode(r: &mut Decoder<'_>) -> Result<Self, CodecError> {
+                Ok(($($name::decode(r)?,)+))
+            }
+        }
+    };
+}
+
+tuple_codec!(A);
+tuple_codec!(A B);
+tuple_codec!(A B C);
+
+/// Defines a plain struct and implements [`Codec`] for it: the fields are
+/// encoded in declaration order, with no framing.
+///
+/// ```
+/// txcache::codec_struct! {
+///     /// A cached price quote.
+///     #[derive(Debug, PartialEq)]
+///     pub struct Quote {
+///         pub item: i64,
+///         pub price: f64,
+///     }
+/// }
+///
+/// use txcache::codec::{Codec, Decoder};
+///
+/// let quote = Quote { item: 3, price: 9.5 };
+/// let mut bytes = Vec::new();
+/// quote.encode(&mut bytes);
+/// assert_eq!(bytes.len(), 16);
+/// assert_eq!(Quote::decode(&mut Decoder::new(&bytes)).unwrap(), quote);
+/// ```
+#[macro_export]
+macro_rules! codec_struct {
+    (
+        $(#[$meta:meta])*
+        $vis:vis struct $name:ident {
+            $($(#[$field_meta:meta])* $field_vis:vis $field:ident: $ty:ty),+ $(,)?
+        }
+    ) => {
+        $(#[$meta])*
+        $vis struct $name {
+            $($(#[$field_meta])* $field_vis $field: $ty),+
+        }
+
+        impl $crate::codec::Codec for $name {
+            fn encode(&self, out: &mut ::std::vec::Vec<u8>) {
+                $($crate::codec::Codec::encode(&self.$field, out);)+
+            }
+
+            fn decode(
+                r: &mut $crate::codec::Decoder<'_>,
+            ) -> ::std::result::Result<Self, $crate::codec::CodecError> {
+                ::std::result::Result::Ok($name {
+                    $($field: $crate::codec::Codec::decode(r)?),+
+                })
+            }
+        }
+    };
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -6,93 +6,105 @@
 
 use serde::{Deserialize, Serialize};
 
-/// A registered user, as shown on user-info pages.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct UserInfo {
-    /// User id.
-    pub id: i64,
-    /// Unique nickname.
-    pub nickname: String,
-    /// Feedback rating.
-    pub rating: i64,
-    /// Account balance.
-    pub balance: f64,
-    /// Region id.
-    pub region: i64,
+txcache::codec_struct! {
+    /// A registered user, as shown on user-info pages.
+    #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+    pub struct UserInfo {
+        /// User id.
+        pub id: i64,
+        /// Unique nickname.
+        pub nickname: String,
+        /// Feedback rating.
+        pub rating: i64,
+        /// Account balance.
+        pub balance: f64,
+        /// Region id.
+        pub region: i64,
+    }
 }
 
-/// An auction item with full details, as shown on item pages.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ItemDetails {
-    /// Item id.
-    pub id: i64,
-    /// Item name.
-    pub name: String,
-    /// Item description.
-    pub description: String,
-    /// Seller's user id.
-    pub seller: i64,
-    /// Category id.
-    pub category: i64,
-    /// Starting price.
-    pub initial_price: f64,
-    /// Current highest price.
-    pub current_price: f64,
-    /// Number of bids placed.
-    pub nb_of_bids: i64,
-    /// Auction end date (abstract units).
-    pub end_date: i64,
-    /// Whether the item came from the `old_items` table.
-    pub closed: bool,
+txcache::codec_struct! {
+    /// An auction item with full details, as shown on item pages.
+    #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+    pub struct ItemDetails {
+        /// Item id.
+        pub id: i64,
+        /// Item name.
+        pub name: String,
+        /// Item description.
+        pub description: String,
+        /// Seller's user id.
+        pub seller: i64,
+        /// Category id.
+        pub category: i64,
+        /// Starting price.
+        pub initial_price: f64,
+        /// Current highest price.
+        pub current_price: f64,
+        /// Number of bids placed.
+        pub nb_of_bids: i64,
+        /// Auction end date (abstract units).
+        pub end_date: i64,
+        /// Whether the item came from the `old_items` table.
+        pub closed: bool,
+    }
 }
 
-/// A one-line item summary, as shown in search listings.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ItemSummary {
-    /// Item id.
-    pub id: i64,
-    /// Item name.
-    pub name: String,
-    /// Current highest price.
-    pub current_price: f64,
-    /// Number of bids placed.
-    pub nb_of_bids: i64,
+txcache::codec_struct! {
+    /// A one-line item summary, as shown in search listings.
+    #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+    pub struct ItemSummary {
+        /// Item id.
+        pub id: i64,
+        /// Item name.
+        pub name: String,
+        /// Current highest price.
+        pub current_price: f64,
+        /// Number of bids placed.
+        pub nb_of_bids: i64,
+    }
 }
 
-/// A single bid in an item's bid history.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct BidInfo {
-    /// Bid id.
-    pub id: i64,
-    /// Bidding user.
-    pub user_id: i64,
-    /// Bid amount.
-    pub amount: f64,
-    /// Bid date (abstract units).
-    pub date: i64,
+txcache::codec_struct! {
+    /// A single bid in an item's bid history.
+    #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+    pub struct BidInfo {
+        /// Bid id.
+        pub id: i64,
+        /// Bidding user.
+        pub user_id: i64,
+        /// Bid amount.
+        pub amount: f64,
+        /// Bid date (abstract units).
+        pub date: i64,
+    }
 }
 
-/// A comment left on a user's profile.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct CommentInfo {
-    /// Comment id.
-    pub id: i64,
-    /// Author.
-    pub from_user: i64,
-    /// Rating given.
-    pub rating: i64,
-    /// Comment text.
-    pub text: String,
+txcache::codec_struct! {
+    /// A comment left on a user's profile.
+    #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+    pub struct CommentInfo {
+        /// Comment id.
+        pub id: i64,
+        /// Author.
+        pub from_user: i64,
+        /// Rating given.
+        pub rating: i64,
+        /// Comment text.
+        pub text: String,
+    }
 }
 
-/// A rendered page: what the page-granularity cacheable functions return
-/// (§7.1 caches "large portions of the generated HTML output").
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct RenderedPage {
-    /// Page title.
-    pub title: String,
-    /// Pseudo-HTML body.
-    pub body: String,
+txcache::codec_struct! {
+    /// A rendered page: what the page-granularity cacheable functions return
+    /// (§7.1 caches "large portions of the generated HTML output").
+    #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+    pub struct RenderedPage {
+        /// Page title.
+        pub title: String,
+        /// Pseudo-HTML body.
+        pub body: String,
+    }
 }
 
 impl RenderedPage {
