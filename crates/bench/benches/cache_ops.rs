@@ -94,7 +94,7 @@ fn bench_cache(c: &mut Criterion) {
             closed: false,
         };
         b.iter(|| {
-            let bytes = codec::encode(&item).unwrap();
+            let bytes = codec::encode(&item);
             let back: ItemDetails = codec::decode(&bytes).unwrap();
             assert_eq!(back.id, 42);
         });

@@ -1,7 +1,6 @@
 //! Cache entries and lookup requests/outcomes.
 
 use bytes::Bytes;
-use serde::{Deserialize, Serialize};
 use txtypes::{CacheKey, TagSet, Timestamp, ValidityInterval, WallClock};
 
 /// A versioned entry stored on a cache node (§4.1).
@@ -43,7 +42,7 @@ impl CacheEntry {
 /// transaction serializable — plus the lower bound acceptable under the
 /// staleness limit alone, which the server uses only to classify misses
 /// (consistency vs staleness).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LookupRequest {
     /// Lowest timestamp in the transaction's pin set.
     pub pinset_lo: Timestamp,
@@ -77,7 +76,7 @@ impl LookupRequest {
 }
 
 /// Why a lookup missed, following the classification of §8.3.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MissKind {
     /// The object was never in the cache.
     Compulsory,

@@ -18,6 +18,21 @@
 //!   it through the wake pipe. Responses therefore leave in *completion*
 //!   order, not arrival order — legal since protocol v4's correlation ids.
 //!
+//! ## Ordering within a connection
+//!
+//! Every decoded request goes onto one job channel shared by all workers,
+//! so two requests of one connection may run at once: they may *apply* to
+//! the node out of arrival order, not only complete out of order. A
+//! pipelined `Put` followed by an `InvalidationBatch` can therefore reach
+//! the node batch first. That is safe today for two reasons only. The
+//! client never has two `InvalidationBatch`es in flight on one connection,
+//! because `RemoteCluster::broadcast` awaits each one. And a `Put` that
+//! lands after an invalidation it should have met is caught by the node's
+//! history scan (§4.2's insert race, counted as a late-insert truncation)
+//! or, once that history is pruned, rejected by the history floor. ROADMAP.md
+//! (open item 1) plans one contract instead: a connection's requests apply
+//! in arrival order, and different connections run in parallel.
+//!
 //! ## Buffer reuse
 //!
 //! Each connection keeps one growable receive buffer that survives across

@@ -1,6 +1,6 @@
 //! Cache statistics, including the miss breakdown of §8.3.
 //!
-//! [`CacheStats`] is the serializable snapshot handed to callers.
+//! [`CacheStats`] is the plain-value snapshot handed to callers.
 //! [`AtomicCacheStats`] is the live per-shard counter bank: every counter is
 //! a relaxed [`obs::StripedCounter`] (the shared primitive all three tiers'
 //! stats banks are built on) so lookups can record hits and misses while
@@ -10,12 +10,11 @@
 //! telemetry and bench output instead of only in flat scaling curves.
 
 use obs::StripedCounter;
-use serde::{Deserialize, Serialize};
 
 use crate::entry::MissKind;
 
 /// Counters kept by each cache node (and aggregated across the cluster).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Lookups that returned a value.
     pub hits: u64,
@@ -207,7 +206,7 @@ impl AtomicCacheStats {
 /// Per-shard lock activity and eviction pressure, snapshotted by
 /// [`crate::CacheNode::shard_stats`] (the cache-tier mirror of
 /// `mvdb::Database::shard_stats`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheShardStats {
     /// Index of the shard within its node.
     pub shard: usize,

@@ -1,75 +1,76 @@
 //! A compact binary serialization format for cached values.
 //!
-//! The TxCache library stores the results of cacheable functions on cache
-//! nodes as opaque byte strings. The paper's PHP bindings use PHP's native
-//! serializer; this crate provides an equivalent for Rust: a small,
-//! non-self-describing binary format driven by `serde`. Any
-//! `#[derive(Serialize, Deserialize)]` type can be cached.
+//! Cache nodes store the results of cacheable functions as opaque byte
+//! strings; the paper's PHP bindings use PHP's native serializer. Here a
+//! value implements [`Codec`]. Like `bincode`, the bytes do not name their
+//! type; decoding needs it, and a cacheable function always knows it:
 //!
-//! Properties:
+//! * integers are widened to 8 bytes little-endian (`i64` for the signed
+//!   types, `u64` for the unsigned ones, `isize`/`usize` included);
+//! * `f32` and `f64` are their 4 and 8 IEEE-754 bytes, little-endian;
+//! * `bool` is one byte, 0 or 1; `char` is its scalar value as a 4-byte `u32`;
+//! * `String` and `Vec<T>` are a `u64` length followed by the bytes or the
+//!   elements; `()` is nothing;
+//! * `Option<T>` is a 1-byte tag (0 = `None`, 1 = `Some`) then the value;
+//! * tuples of up to three and [`codec_struct!`](crate::codec_struct)
+//!   structs are their fields in declaration order, with no framing.
 //!
-//! * **Deterministic** — equal values encode to equal bytes, which also makes
-//!   the encoding usable for building cache keys from call arguments.
-//! * **Non-self-describing** — like `bincode`, decoding requires knowing the
-//!   target type; `deserialize_any` is unsupported. Cacheable functions always
-//!   know their result type, so this is not a limitation.
-//! * **Dependency-free** — implemented directly against `serde`'s
-//!   `Serializer`/`Deserializer` traits.
+//! Equal values encode to equal bytes, so call arguments encode into cache
+//! keys. Decoding arbitrary bytes gives a value or an error, never a panic:
+//! cached bytes come back from a remote node.
 //!
 //! ```
-//! use serde::{Deserialize, Serialize};
-//! use txcache::codec::{decode, encode};
+//! use txcache::codec::{decode, encode, encode_hex};
 //!
-//! #[derive(Serialize, Deserialize, PartialEq, Debug)]
-//! struct Item { id: u64, name: String, price: f64 }
+//! txcache::codec_struct! {
+//!     #[derive(PartialEq, Debug)]
+//!     struct Item { id: u64, name: String, price: f64 }
+//! }
 //!
 //! let item = Item { id: 7, name: "vase".into(), price: 12.5 };
-//! let bytes = encode(&item).unwrap();
+//! let bytes = encode(&item);
+//! assert_eq!(bytes.len(), 8 + (8 + 4) + 8);
 //! let back: Item = decode(&bytes).unwrap();
 //! assert_eq!(back, item);
+//! assert_eq!(encode_hex(&(7u8, true)), "070000000000000001");
 //! ```
 
-mod de;
-mod ser;
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 use bytes::Bytes;
-use serde::{de::DeserializeOwned, Serialize};
 use txtypes::Error;
 
-pub use de::Decoder;
-pub use ser::Encoder;
-
 /// Serializes a value into the TxCache binary format.
-pub fn encode<T: Serialize>(value: &T) -> Result<Bytes, Error> {
-    let mut encoder = Encoder::new();
-    value
-        .serialize(&mut encoder)
-        .map_err(|e| Error::Serialization(e.to_string()))?;
-    Ok(encoder.into_bytes())
+pub fn encode<T: Codec>(value: &T) -> Bytes {
+    let mut out = Vec::new();
+    value.encode(&mut out);
+    Bytes::from(out)
 }
 
-/// Deserializes a value from the TxCache binary format.
-pub fn decode<T: DeserializeOwned>(bytes: &[u8]) -> Result<T, Error> {
+/// Deserializes a value from the TxCache binary format. The value must use
+/// the whole input.
+pub fn decode<T: Codec>(bytes: &[u8]) -> Result<T, Error> {
     let mut decoder = Decoder::new(bytes);
-    let value = T::deserialize(&mut decoder).map_err(|e| Error::Serialization(e.to_string()))?;
-    decoder
-        .finish()
-        .map_err(|e| Error::Serialization(e.to_string()))?;
-    Ok(value)
+    T::decode(&mut decoder)
+        .and_then(|value| decoder.finish().map(|()| value))
+        .map_err(|e| Error::Serialization(e.to_string()))
 }
 
 /// Renders a value's encoding as a short hexadecimal string, used to build
 /// cache-key argument strings that are canonical and printable.
-pub fn encode_hex<T: Serialize>(value: &T) -> Result<String, Error> {
-    let bytes = encode(value)?;
+pub fn encode_hex<T: Codec>(value: &T) -> String {
+    const DIGITS: &[u8; 16] = b"0123456789abcdef";
+    let mut bytes = Vec::new();
+    value.encode(&mut bytes);
     let mut out = String::with_capacity(bytes.len() * 2);
-    for b in bytes.iter() {
-        out.push_str(&format!("{b:02x}"));
+    for b in bytes {
+        out.push(char::from(DIGITS[usize::from(b >> 4)]));
+        out.push(char::from(DIGITS[usize::from(b & 0xf)]));
     }
-    Ok(out)
+    out
 }
 
-/// Errors produced while encoding or decoding.
+/// Errors produced while decoding.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CodecError(pub String);
 
@@ -81,77 +82,109 @@ impl std::fmt::Display for CodecError {
 
 impl std::error::Error for CodecError {}
 
-impl serde::ser::Error for CodecError {
-    fn custom<T: std::fmt::Display>(msg: T) -> Self {
-        CodecError(msg.to_string())
+/// Streaming decoder for the TxCache binary format: a cursor over the input
+/// whose every read checks that the bytes it needs are there.
+#[derive(Debug)]
+pub struct Decoder<'de> {
+    input: &'de [u8],
+    pos: usize,
+}
+
+impl<'de> Decoder<'de> {
+    /// Creates a decoder over `input`.
+    #[must_use]
+    pub fn new(input: &'de [u8]) -> Decoder<'de> {
+        Decoder { input, pos: 0 }
+    }
+
+    /// Checks that the whole input has been consumed.
+    pub fn finish(&self) -> Result<(), CodecError> {
+        match self.remaining() {
+            0 => Ok(()),
+            n => Err(CodecError(format!("{n} trailing bytes after value"))),
+        }
+    }
+
+    /// Bytes not yet consumed.
+    #[must_use]
+    pub fn remaining(&self) -> usize {
+        self.input.len() - self.pos
+    }
+
+    /// Consumes the next `n` bytes. Fails, without reading anything, when
+    /// fewer than `n` remain.
+    pub fn take(&mut self, n: usize) -> Result<&'de [u8], CodecError> {
+        let pos = self.pos;
+        let slice = self
+            .input
+            .get(pos..pos.saturating_add(n))
+            .ok_or_else(|| CodecError(format!("input ends before {n} bytes at offset {pos}")))?;
+        self.pos += n;
+        Ok(slice)
+    }
+
+    /// Consumes the next `N` bytes as an array.
+    pub fn read_array<const N: usize>(&mut self) -> Result<[u8; N], CodecError> {
+        let mut arr = [0u8; N];
+        arr.copy_from_slice(self.take(N)?);
+        Ok(arr)
+    }
+
+    /// Reads an 8-byte little-endian `u64`.
+    pub fn read_u64(&mut self) -> Result<u64, CodecError> {
+        Ok(u64::from_le_bytes(self.read_array()?))
+    }
+
+    /// Reads a `u64` length prefix.
+    pub fn read_len(&mut self) -> Result<usize, CodecError> {
+        let len = self.read_u64()?;
+        usize::try_from(len).map_err(|_| CodecError("length overflows usize".into()))
+    }
+
+    /// Reads a length-prefixed UTF-8 string, borrowed from the input.
+    pub fn read_str(&mut self) -> Result<&'de str, CodecError> {
+        let len = self.read_len()?;
+        std::str::from_utf8(self.take(len)?).map_err(|e| CodecError(format!("invalid utf-8: {e}")))
     }
 }
 
-impl serde::de::Error for CodecError {
-    fn custom<T: std::fmt::Display>(msg: T) -> Self {
-        CodecError(msg.to_string())
-    }
-}
-
-/// A value the TxCache binary format can carry: a cacheable function's
-/// arguments (rendered into the cache key) or its result (the cached value).
-///
-/// The format is not self-describing; the decoder must know the type. Every
-/// impl writes exactly the bytes its `decode` consumes:
-///
-/// * integers are widened to 8 bytes little-endian (`i64` for the signed
-///   types, `u64` for the unsigned ones, `isize`/`usize` included);
-/// * `f32` and `f64` are their 4 and 8 IEEE-754 bytes, little-endian;
-/// * `bool` is one byte, 0 or 1; `char` is its scalar value as a 4-byte `u32`;
-/// * `String` and `Vec<T>` are a `u64` length followed by the bytes or the
-///   elements; `()` is nothing;
-/// * `Option<T>` is a 1-byte tag (0 = `None`, 1 = `Some`) then the value;
-/// * tuples and [`codec_struct!`](crate::codec_struct) structs are their
-///   fields in order, with no framing.
+/// A value the TxCache binary format can carry (see the [module
+/// docs](self) for the bytes each type writes): a cacheable function's
+/// arguments, rendered into the cache key, or its result, the cached value.
 pub trait Codec: Sized {
     /// Appends this value's encoding to `out`.
     fn encode(&self, out: &mut Vec<u8>);
 
     /// Reads one value from the front of `r`. Malformed input is an error,
-    /// never a panic: cached bytes come back from a remote node.
+    /// never a panic.
     fn decode(r: &mut Decoder<'_>) -> Result<Self, CodecError>;
 }
 
-macro_rules! widened_int_codec {
-    ($wide:ty: $($ty:ty),+) => {$(
+/// Fixed-width values travel as the little-endian bytes of their wire type:
+/// `i64` or `u64` for the integers and `u32` for `char`, which decoding
+/// narrows back with a range check, and the float itself for `f32`/`f64`.
+macro_rules! fixed_codec {
+    ($($ty:ty => $wire:ty),+ $(,)?) => {$(
         impl Codec for $ty {
             fn encode(&self, out: &mut Vec<u8>) {
-                out.extend_from_slice(&(*self as $wide).to_le_bytes());
+                out.extend_from_slice(&(*self as $wire).to_le_bytes());
             }
 
             fn decode(r: &mut Decoder<'_>) -> Result<Self, CodecError> {
-                let wide = <$wide>::from_le_bytes(r.read_array()?);
-                <$ty>::try_from(wide).map_err(|_| {
-                    CodecError(format!("integer {wide} out of range for {}", stringify!($ty)))
+                let wire = <$wire>::from_le_bytes(r.read_array()?);
+                <$ty>::try_from(wire).map_err(|_| {
+                    CodecError(format!("{wire} out of range for {}", stringify!($ty)))
                 })
             }
         }
     )+};
 }
 
-widened_int_codec!(i64: i8, i16, i32, i64, isize);
-widened_int_codec!(u64: u8, u16, u32, u64, usize);
-
-macro_rules! float_codec {
-    ($($ty:ty),+) => {$(
-        impl Codec for $ty {
-            fn encode(&self, out: &mut Vec<u8>) {
-                out.extend_from_slice(&self.to_le_bytes());
-            }
-
-            fn decode(r: &mut Decoder<'_>) -> Result<Self, CodecError> {
-                Ok(<$ty>::from_le_bytes(r.read_array()?))
-            }
-        }
-    )+};
-}
-
-float_codec!(f32, f64);
+fixed_codec!(
+    i8 => i64, i16 => i64, i32 => i64, i64 => i64, isize => i64,
+    u8 => u64, u16 => u64, u32 => u64, u64 => u64, usize => u64,
+    char => u32, f32 => f32, f64 => f64,
+);
 
 impl Codec for bool {
     fn encode(&self, out: &mut Vec<u8>) {
@@ -162,19 +195,8 @@ impl Codec for bool {
         match r.read_array()? {
             [0] => Ok(false),
             [1] => Ok(true),
-            [other] => Err(CodecError(format!("invalid bool tag {other}"))),
+            [other] => Err(CodecError(format!("invalid bool/option tag {other}"))),
         }
-    }
-}
-
-impl Codec for char {
-    fn encode(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&u32::from(*self).to_le_bytes());
-    }
-
-    fn decode(r: &mut Decoder<'_>) -> Result<Self, CodecError> {
-        let raw = u32::from_le_bytes(r.read_array()?);
-        char::from_u32(raw).ok_or_else(|| CodecError(format!("invalid char {raw:#x}")))
     }
 }
 
@@ -186,14 +208,6 @@ impl Codec for String {
 
     fn decode(r: &mut Decoder<'_>) -> Result<Self, CodecError> {
         r.read_str().map(str::to_owned)
-    }
-}
-
-impl Codec for () {
-    fn encode(&self, _out: &mut Vec<u8>) {}
-
-    fn decode(_r: &mut Decoder<'_>) -> Result<Self, CodecError> {
-        Ok(())
     }
 }
 
@@ -211,10 +225,7 @@ impl<T: Codec> Codec for Vec<T> {
         // so a count above the bytes left is corrupt: refuse it before
         // reserving room for it.
         if len > r.remaining() && std::mem::size_of::<T>() != 0 {
-            return Err(CodecError(format!(
-                "length {len} exceeds the {} bytes left",
-                r.remaining()
-            )));
+            return Err(CodecError(format!("length {len} exceeds the input")));
         }
         let mut out = Vec::with_capacity(len);
         for _ in 0..len {
@@ -226,65 +237,38 @@ impl<T: Codec> Codec for Vec<T> {
 
 impl<T: Codec> Codec for Option<T> {
     fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            None => out.push(0),
-            Some(value) => {
-                out.push(1);
-                value.encode(out);
-            }
+        self.is_some().encode(out);
+        if let Some(value) = self {
+            value.encode(out);
         }
     }
 
     fn decode(r: &mut Decoder<'_>) -> Result<Self, CodecError> {
-        match r.read_array()? {
-            [0] => Ok(None),
-            [1] => T::decode(r).map(Some),
-            [other] => Err(CodecError(format!("invalid option tag {other}"))),
-        }
+        bool::decode(r)?.then(|| T::decode(r)).transpose()
     }
 }
 
 macro_rules! tuple_codec {
-    ($($name:ident)+) => {
-        impl<$($name: Codec),+> Codec for ($($name,)+) {
-            #[allow(non_snake_case)]
+    ($($($name:ident)*);+) => {$(
+        #[allow(non_snake_case, unused_variables)]
+        impl<$($name: Codec),*> Codec for ($($name,)*) {
             fn encode(&self, out: &mut Vec<u8>) {
-                let ($($name,)+) = self;
-                $($name.encode(out);)+
+                let ($($name,)*) = self;
+                $($name.encode(out);)*
             }
 
             fn decode(r: &mut Decoder<'_>) -> Result<Self, CodecError> {
-                Ok(($($name::decode(r)?,)+))
+                Ok(($($name::decode(r)?,)*))
             }
         }
-    };
+    )+};
 }
 
-tuple_codec!(A);
-tuple_codec!(A B);
-tuple_codec!(A B C);
+tuple_codec!(; A; A B; A B C);
 
-/// Defines a plain struct and implements [`Codec`] for it: the fields are
-/// encoded in declaration order, with no framing.
-///
-/// ```
-/// txcache::codec_struct! {
-///     /// A cached price quote.
-///     #[derive(Debug, PartialEq)]
-///     pub struct Quote {
-///         pub item: i64,
-///         pub price: f64,
-///     }
-/// }
-///
-/// use txcache::codec::{Codec, Decoder};
-///
-/// let quote = Quote { item: 3, price: 9.5 };
-/// let mut bytes = Vec::new();
-/// quote.encode(&mut bytes);
-/// assert_eq!(bytes.len(), 16);
-/// assert_eq!(Quote::decode(&mut Decoder::new(&bytes)).unwrap(), quote);
-/// ```
+/// Defines a plain struct and implements [`Codec`] for it, encoding its
+/// fields in declaration order. Attributes and doc comments pass through;
+/// the [module docs](crate::codec) have an example.
 #[macro_export]
 macro_rules! codec_struct {
     (
@@ -317,38 +301,31 @@ macro_rules! codec_struct {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use serde::{Deserialize, Serialize};
-    use std::collections::BTreeMap;
 
-    #[derive(Serialize, Deserialize, PartialEq, Debug, Clone)]
-    struct Nested {
-        tags: Vec<String>,
-        maybe: Option<i64>,
+    crate::codec_struct! {
+        #[derive(PartialEq, Debug, Clone)]
+        struct Nested {
+            tags: Vec<String>,
+            maybe: Option<i64>,
+        }
     }
 
-    #[derive(Serialize, Deserialize, PartialEq, Debug, Clone)]
-    enum Kind {
-        Empty,
-        Scalar(u32),
-        Pair(u32, u32),
-        Record { a: String, b: bool },
-    }
-
-    #[derive(Serialize, Deserialize, PartialEq, Debug, Clone)]
-    struct Everything {
-        b: bool,
-        i: i64,
-        u: u64,
-        f: f64,
-        s: String,
-        v: Vec<u32>,
-        map: BTreeMap<String, i32>,
-        nested: Nested,
-        kinds: Vec<Kind>,
-        unit: (),
-        tuple: (u8, String),
-        opt_none: Option<String>,
-        ch: char,
+    crate::codec_struct! {
+        #[derive(PartialEq, Debug, Clone)]
+        struct Everything {
+            b: bool,
+            i: i64,
+            u: u64,
+            f: f64,
+            s: String,
+            v: Vec<u32>,
+            pairs: Vec<(String, i32)>,
+            nested: Nested,
+            unit: (),
+            tuple: (u8, String),
+            opt_none: Option<String>,
+            ch: char,
+        }
     }
 
     fn sample() -> Everything {
@@ -359,22 +336,11 @@ mod tests {
             f: 3.25,
             s: "héllo wörld".into(),
             v: vec![1, 2, 3],
-            map: [("a".to_string(), 1), ("b".to_string(), -2)]
-                .into_iter()
-                .collect(),
+            pairs: vec![("a".to_string(), 1), ("b".to_string(), -2)],
             nested: Nested {
                 tags: vec!["x".into(), "y".into()],
                 maybe: Some(-9),
             },
-            kinds: vec![
-                Kind::Empty,
-                Kind::Scalar(5),
-                Kind::Pair(1, 2),
-                Kind::Record {
-                    a: "z".into(),
-                    b: false,
-                },
-            ],
             unit: (),
             tuple: (255, "t".into()),
             opt_none: None,
@@ -385,59 +351,61 @@ mod tests {
     #[test]
     fn roundtrip_everything() {
         let value = sample();
-        let bytes = encode(&value).unwrap();
+        let bytes = encode(&value);
         let back: Everything = decode(&bytes).unwrap();
         assert_eq!(back, value);
     }
 
     #[test]
     fn roundtrip_primitives() {
-        assert_eq!(decode::<u8>(&encode(&7u8).unwrap()).unwrap(), 7);
-        assert_eq!(decode::<i32>(&encode(&-3i32).unwrap()).unwrap(), -3);
-        assert_eq!(decode::<u128>(&encode(&10u128).unwrap()).unwrap(), 10);
-        assert_eq!(decode::<i128>(&encode(&-10i128).unwrap()).unwrap(), -10);
-        assert_eq!(decode::<f32>(&encode(&1.5f32).unwrap()).unwrap(), 1.5);
-        assert!(!decode::<bool>(&encode(&false).unwrap()).unwrap());
+        assert_eq!(decode::<u8>(&encode(&7u8)).unwrap(), 7);
+        assert_eq!(decode::<i32>(&encode(&-3i32)).unwrap(), -3);
+        assert_eq!(decode::<usize>(&encode(&usize::MAX)).unwrap(), usize::MAX);
+        assert_eq!(decode::<isize>(&encode(&isize::MIN)).unwrap(), isize::MIN);
+        assert_eq!(decode::<f32>(&encode(&1.5f32)).unwrap(), 1.5);
+        assert!(!decode::<bool>(&encode(&false)).unwrap());
         assert_eq!(
-            decode::<String>(&encode(&"abc".to_string()).unwrap()).unwrap(),
+            decode::<String>(&encode(&"abc".to_string())).unwrap(),
             "abc"
         );
-        assert_eq!(decode::<()>(&encode(&()).unwrap()).unwrap(), ());
-        assert_eq!(decode::<char>(&encode(&'q').unwrap()).unwrap(), 'q');
+        assert_eq!(decode::<()>(&encode(&())).unwrap(), ());
+        assert_eq!(decode::<char>(&encode(&'q')).unwrap(), 'q');
         assert_eq!(
-            decode::<Option<u64>>(&encode(&Some(5u64)).unwrap()).unwrap(),
+            decode::<Option<u64>>(&encode(&Some(5u64))).unwrap(),
             Some(5)
         );
-        assert_eq!(
-            decode::<Option<u64>>(&encode(&None::<u64>).unwrap()).unwrap(),
-            None
-        );
+        assert_eq!(decode::<Option<u64>>(&encode(&None::<u64>)).unwrap(), None);
+        assert_eq!(decode::<(i8,)>(&encode(&(-1i8,))).unwrap(), (-1,));
+    }
+
+    #[test]
+    fn integers_widen_to_eight_bytes() {
+        assert_eq!(&encode(&-2i8)[..], &(-2i64).to_le_bytes());
+        assert_eq!(&encode(&0xabcdu16)[..], &0xabcdu64.to_le_bytes());
+        assert_eq!(&encode(&'é')[..], &0xe9u32.to_le_bytes());
+        assert_eq!(encode(&1.0f32).len(), 4);
+        assert!(decode::<u8>(&encode(&256u64)).is_err());
+        assert!(decode::<i16>(&encode(&i64::MIN)).is_err());
     }
 
     #[test]
     fn encoding_is_deterministic() {
-        let a = encode(&sample()).unwrap();
-        let b = encode(&sample()).unwrap();
-        assert_eq!(a, b);
-        assert_eq!(
-            encode_hex(&(1u64, "x")).unwrap(),
-            encode_hex(&(1u64, "x")).unwrap()
-        );
-        assert_ne!(
-            encode_hex(&(1u64, "x")).unwrap(),
-            encode_hex(&(2u64, "x")).unwrap()
-        );
+        assert_eq!(encode(&sample()), encode(&sample()));
+        let key = |n: u64| encode_hex(&(n, "x".to_string()));
+        assert_eq!(key(1), key(1));
+        assert_ne!(key(1), key(2));
+        assert_eq!(key(1), "0100000000000000010000000000000078");
     }
 
     #[test]
     fn different_values_encode_differently() {
-        assert_ne!(encode(&1u64).unwrap(), encode(&2u64).unwrap());
-        assert_ne!(encode(&"a").unwrap(), encode(&"b").unwrap());
+        assert_ne!(encode(&1u64), encode(&2u64));
+        assert_ne!(encode(&"a".to_string()), encode(&"b".to_string()));
     }
 
     #[test]
     fn decode_rejects_truncated_and_trailing_input() {
-        let bytes = encode(&12345u64).unwrap();
+        let bytes = encode(&12345u64);
         assert!(decode::<u64>(&bytes[..4]).is_err());
         let mut extended = bytes.to_vec();
         extended.push(0);
@@ -448,15 +416,29 @@ mod tests {
     fn decode_rejects_invalid_bool_and_option_tags() {
         assert!(decode::<bool>(&[7]).is_err());
         assert!(decode::<Option<u64>>(&[9]).is_err());
-        assert!(decode::<char>(&encode(&u32::MAX).unwrap()[..4]).is_err());
+        assert!(decode::<char>(&encode(&u32::MAX)[..4]).is_err());
+        assert!(decode::<char>(&0xd800u32.to_le_bytes()).is_err());
     }
 
     #[test]
     fn decode_rejects_bad_utf8() {
         // Manually build: len=1, byte 0xff.
-        let mut buf = encode(&1u64).unwrap().to_vec();
+        let mut buf = encode(&1u64).to_vec();
         buf.push(0xff);
         assert!(decode::<String>(&buf).is_err());
+    }
+
+    #[test]
+    fn oversized_lengths_are_rejected_before_allocating() {
+        for len in [9, u64::MAX >> 4, u64::MAX] {
+            let mut buf = len.to_le_bytes().to_vec();
+            buf.extend_from_slice(&[0; 8]);
+            assert!(decode::<String>(&buf).is_err());
+            assert!(decode::<Vec<u64>>(&buf).is_err());
+            assert!(decode::<Vec<Option<String>>>(&buf).is_err());
+        }
+        // Zero-sized elements take no bytes, so only the count bounds them.
+        assert_eq!(decode::<Vec<()>>(&encode(&3u64)).unwrap().len(), 3);
     }
 
     #[test]

@@ -1,11 +1,10 @@
 //! Client-library configuration.
 
-use serde::{Deserialize, Serialize};
 use txtypes::Staleness;
 
 /// How the library uses the cache. The non-default modes exist to reproduce
 //  the baselines in the paper's evaluation (§8).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CacheMode {
     /// Normal TxCache operation: transactionally consistent caching.
     Full,
@@ -19,7 +18,7 @@ pub enum CacheMode {
 }
 
 /// When a read-only transaction's timestamp is chosen (§6.2).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TimestampPolicy {
     /// Choose lazily, narrowing a pin set as cached values and query results
     /// are observed (the paper's design).
@@ -32,12 +31,12 @@ pub enum TimestampPolicy {
 /// Which cache transport the library uses (§4, §7).
 ///
 /// The addresses and socket options of a remote deployment are not part of
-/// this config (it stays `Copy` and serializable); they are supplied when the
+/// this config (it stays `Copy`); they are supplied when the
 /// backend itself is built, e.g. via
 /// [`RemoteCluster::connect`](crate::backend::RemoteCluster::connect). The
 /// kind recorded here is kept consistent with the active backend by
 /// [`TxCache::with_backend`](crate::TxCache::with_backend).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum BackendKind {
     /// The cache cluster is linked into the application process and reached
     /// by direct method calls (the historical configuration).
@@ -49,7 +48,7 @@ pub enum BackendKind {
 }
 
 /// Configuration of the TxCache client library.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TxCacheConfig {
     /// Cache usage mode.
     pub mode: CacheMode,

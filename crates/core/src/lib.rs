@@ -42,20 +42,29 @@
 //! let pc = Arc::new(Pincushion::new(Default::default(), clock.clone()));
 //! let txcache = TxCache::new(db, cache, pc, clock, TxCacheConfig::default());
 //!
+//! // A cacheable function's arguments and result implement `codec::Codec`:
+//! // the primitives, `String`, `Vec`, `Option` and tuples do, and
+//! // `codec_struct!` derives it for a plain struct.
+//! txcache::codec_struct! {
+//!     #[derive(Debug, PartialEq)]
+//!     struct User { id: i64, name: String }
+//! }
+//!
 //! // A read-only transaction with a 30-second staleness limit.
 //! let mut tx = txcache.begin_ro(Staleness::seconds(30)).unwrap();
-//! let name: String = tx.cached("user_name", &1i64, |tx| {
+//! let user: User = tx.cached("get_user", &1i64, |tx| {
 //!     let q = SelectQuery::table("users").filter(Predicate::eq("id", 1i64));
 //!     let r = tx.query(&q)?;
-//!     Ok(r.get(0, "name")?.as_text().unwrap_or_default().to_string())
+//!     let name = r.get(0, "name")?.as_text().unwrap_or_default().to_string();
+//!     Ok(User { id: 1, name })
 //! }).unwrap();
-//! assert_eq!(name, "alice");
+//! assert_eq!(user.name, "alice");
 //! tx.commit().unwrap();
 //!
 //! // The same call in a new transaction is served from the cache.
 //! let mut tx = txcache.begin_ro(Staleness::seconds(30)).unwrap();
-//! let again: String = tx.cached("user_name", &1i64, |_| unreachable!("cache hit expected")).unwrap();
-//! assert_eq!(again, "alice");
+//! let again: User = tx.cached("get_user", &1i64, |_| unreachable!("cache hit expected")).unwrap();
+//! assert_eq!(again, user);
 //! tx.commit().unwrap();
 //! ```
 

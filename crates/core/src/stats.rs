@@ -2,11 +2,10 @@
 
 use mvdb::PageCounts;
 use obs::StripedCounter;
-use serde::{Deserialize, Serialize};
 use txtypes::Timestamp;
 
 /// Counters accumulated by a [`crate::TxCache`] handle across transactions.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ClientStats {
     /// Read-only transactions begun.
     pub ro_transactions: u64,
@@ -119,7 +118,7 @@ impl AtomicClientStats {
 
 /// Everything the library reports back when a transaction finishes; the
 /// experiment harness uses these to drive its cost model.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CommitInfo {
     /// The timestamp the transaction ran at (its snapshot for read-only
     /// transactions, its commit timestamp for read/write transactions).

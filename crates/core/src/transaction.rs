@@ -22,10 +22,9 @@ use std::collections::HashMap;
 use bytes::Bytes;
 use cache_server::{LookupOutcome, LookupRequest};
 use mvdb::{PageCounts, Predicate, QueryResult, SelectQuery, SnapshotId, TxnToken, Value};
-use serde::{de::DeserializeOwned, Serialize};
 use txtypes::{CacheKey, Error, Result, Staleness, TagSet, Timestamp, ValidityInterval, WallClock};
 
-use crate::codec;
+use crate::codec::{self, Codec};
 use crate::config::{CacheMode, TimestampPolicy};
 use crate::handle::TxCache;
 use crate::pinset::PinSet;
@@ -216,8 +215,8 @@ impl<'a> Transaction<'a> {
     /// the implementation simply runs.
     pub fn cached<A, R, F>(&mut self, name: &str, args: &A, body: F) -> Result<R>
     where
-        A: Serialize,
-        R: Serialize + DeserializeOwned,
+        A: Codec,
+        R: Codec,
         F: FnOnce(&mut Transaction<'a>) -> Result<R>,
     {
         self.sys.stats.cacheable_calls.bump();
@@ -229,7 +228,7 @@ impl<'a> Transaction<'a> {
             return body(self);
         }
 
-        let key = CacheKey::new(name, codec::encode_hex(args)?);
+        let key = CacheKey::new(name, codec::encode_hex(args));
         self.ensure_candidates()?;
         let request = self.lookup_request(mode)?;
 
@@ -262,8 +261,8 @@ impl<'a> Transaction<'a> {
         mut body: F,
     ) -> Result<Vec<R>>
     where
-        A: Serialize,
-        R: Serialize + DeserializeOwned,
+        A: Codec,
+        R: Codec,
         F: FnMut(&mut Transaction<'a>, usize) -> Result<R>,
     {
         if args_list.is_empty() {
@@ -281,8 +280,8 @@ impl<'a> Transaction<'a> {
 
         let keys: Vec<CacheKey> = args_list
             .iter()
-            .map(|args| Ok(CacheKey::new(name, codec::encode_hex(args)?)))
-            .collect::<Result<_>>()?;
+            .map(|args| CacheKey::new(name, codec::encode_hex(args)))
+            .collect();
         self.ensure_candidates()?;
         let request = self.lookup_request(mode)?;
 
@@ -316,7 +315,7 @@ impl<'a> Transaction<'a> {
         body: F,
     ) -> Result<(R, Option<(Bytes, Frame)>)>
     where
-        R: Serialize + DeserializeOwned,
+        R: Codec,
         F: FnOnce(&mut Transaction<'a>) -> Result<R>,
     {
         match outcome {
@@ -343,7 +342,7 @@ impl<'a> Transaction<'a> {
                 let result = body(self);
                 let frame = self.pop_frame()?;
                 let value = result?;
-                let encoded = codec::encode(&value)?;
+                let encoded = codec::encode(&value);
                 Ok((value, Some((encoded, frame))))
             }
         }

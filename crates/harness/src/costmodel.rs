@@ -17,11 +17,10 @@
 //! comes from the real protocol behaviour (hit rates, invalidations,
 //! consistency misses), not from these constants.
 
-use serde::{Deserialize, Serialize};
 use txcache::CommitInfo;
 
 /// Calibrated per-operation service times, in microseconds.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CostModel {
     /// CPU cost on the database server per query (parse/plan/execute).
     pub db_query_cpu_us: f64,
@@ -81,7 +80,7 @@ impl CostModel {
 }
 
 /// Aggregate resource demand measured over a batch of requests.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct ResourceUsage {
     /// Number of requests (interactions) aggregated.
     pub requests: u64,
@@ -199,7 +198,7 @@ impl ResourceUsage {
 }
 
 /// The tier that limits throughput.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Bottleneck {
     /// The single database server.
     Database,

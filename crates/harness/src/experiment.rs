@@ -14,7 +14,6 @@ use pincushion::{Pincushion, PincushionConfig};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use rubis::{ClientSession, RubisApp, RubisScale, WorkloadConfig};
-use serde::{Deserialize, Serialize};
 use txcache::backend::{CacheBackend, RemoteCluster};
 use txcache::{CacheMode, TimestampPolicy, TxCache, TxCacheConfig};
 use txtypes::{Result, SimClock, Staleness};
@@ -22,7 +21,7 @@ use txtypes::{Result, SimClock, Staleness};
 use crate::costmodel::{Bottleneck, CostModel, ResourceUsage};
 
 /// Which of the paper's two database configurations to emulate.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DbKind {
     /// Working set fits in the buffer cache (§8: 850 MB database).
     InMemory,
@@ -51,7 +50,7 @@ impl DbKind {
 }
 
 /// Full description of one experiment point.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ExperimentConfig {
     /// Database configuration.
     pub db_kind: DbKind,
@@ -217,7 +216,7 @@ impl SimCluster {
 }
 
 /// The measured outcome of one experiment point.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ExperimentResult {
     /// The configuration that produced this result.
     pub config: ExperimentConfig,

@@ -70,7 +70,6 @@ use obs::{Histogram, MetricsSnapshot, Registry, StripedCounter as ObsCounter};
 
 use crossbeam::channel::Receiver;
 use parking_lot::{Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};
-use serde::{Deserialize, Serialize};
 use txtypes::{
     Error, InvalidationTag, Result, SimClock, TagSet, Timestamp, ValidityInterval, WallClock,
 };
@@ -94,7 +93,7 @@ use crate::wal::{self, RecoverOptions, RecoveryReport};
 use wire::sim::{fnv1a, FNV_OFFSET};
 
 /// Static configuration of a [`Database`].
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct DbConfig {
     /// Size of the simulated buffer pool in pages. Together with the dataset
     /// size this determines whether the configuration behaves "in-memory" or

@@ -29,7 +29,6 @@ use std::borrow::Cow;
 use std::cell::Cell;
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
 use txtypes::{Error, Result, TagSet, Timestamp, ValidityInterval};
 
 use crate::buffer::{PageAccess, SharedBuffer};
@@ -42,7 +41,7 @@ use crate::validity::ValidityTracker;
 use crate::value::Value;
 
 /// Execution options controlling the database-side TxCache machinery.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct ExecOptions {
     /// Track validity intervals and produce invalidation tags. Disabling this
     /// models the stock (unmodified) database used as the §8.1 baseline.
@@ -63,7 +62,7 @@ impl Default for ExecOptions {
 }
 
 /// Counters of page activity attributable to a single query.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PageCounts {
     /// Pages touched that were resident in the buffer pool.
     pub hits: u64,
@@ -88,7 +87,7 @@ impl PageCounts {
 
 /// The result of a query, together with the TxCache metadata piggybacked on
 /// it (§5.2–5.3): the validity interval and the invalidation tag set.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct QueryResult {
     /// Output column names. Outer-table columns keep their bare names; joined
     /// columns are qualified as `table.column`.

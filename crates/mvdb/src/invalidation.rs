@@ -9,12 +9,11 @@
 //! inserted with an old value and the invalidation that supersedes it.
 
 use crossbeam::channel::{unbounded, Receiver, Sender};
-use serde::{Deserialize, Serialize};
 use txtypes::{TagSet, Timestamp, WallClock};
 
 /// One entry in the invalidation stream: everything a single update
 /// transaction invalidated.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct InvalidationMessage {
     /// The commit timestamp of the update transaction.
     pub timestamp: Timestamp,

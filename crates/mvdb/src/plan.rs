@@ -16,7 +16,6 @@
 //! column is indexed. Keyed paths are never downgraded: their tags are
 //! sharper, which matters more to the cache tier than saving a sort.
 
-use serde::{Deserialize, Serialize};
 use txtypes::{Error, InvalidationTag, Result, TagSet};
 
 use crate::query::{Aggregate, CmpOp, Join, Predicate, SelectQuery, SortOrder};
@@ -24,7 +23,7 @@ use crate::table::Table;
 use crate::value::Value;
 
 /// How the executor will fetch candidate tuples from a table.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum AccessPath {
     /// Probe an index for a single key.
     IndexEq {
@@ -120,7 +119,7 @@ impl AccessPath {
 }
 
 /// How the inner table of a join is accessed for each outer row.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum JoinAccess {
     /// Probe an index on the inner join column with the outer row's key.
     IndexNestedLoop,
@@ -129,7 +128,7 @@ pub enum JoinAccess {
 }
 
 /// The planned join.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct JoinPlan {
     /// The join specification from the query.
     pub join: Join,
@@ -138,7 +137,7 @@ pub struct JoinPlan {
 }
 
 /// A fully planned query.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct QueryPlan {
     /// The outer table.
     pub table: String,

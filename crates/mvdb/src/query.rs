@@ -7,14 +7,13 @@
 //! built programmatically — but the plan/execute split and the
 //! validity/invalidation bookkeeping are faithful to the paper.
 
-use serde::{Deserialize, Serialize};
 use txtypes::{Error, Result};
 
 use crate::schema::TableSchema;
 use crate::value::Value;
 
 /// A comparison operator.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CmpOp {
     /// Equal.
     Eq,
@@ -46,7 +45,7 @@ impl CmpOp {
 }
 
 /// A row predicate.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Predicate {
     /// Always true.
     True,
@@ -190,7 +189,7 @@ impl Predicate {
 }
 
 /// Sort direction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SortOrder {
     /// Ascending.
     Asc,
@@ -199,7 +198,7 @@ pub enum SortOrder {
 }
 
 /// An aggregate function over the result rows.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Aggregate {
     /// `COUNT(*)`.
     Count,
@@ -214,7 +213,7 @@ pub enum Aggregate {
 }
 
 /// An inner equi-join against a second table.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Join {
     /// The inner (joined) table.
     pub table: String,
@@ -227,7 +226,7 @@ pub struct Join {
 }
 
 /// A select query.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SelectQuery {
     /// The outer table.
     pub table: String,

@@ -1,12 +1,11 @@
 //! Table schemas and index definitions.
 
-use serde::{Deserialize, Serialize};
 use txtypes::{Error, Result};
 
 use crate::value::{ColumnType, Value};
 
 /// A column definition.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ColumnDef {
     /// Column name (unique within the table).
     pub name: String,
@@ -17,7 +16,7 @@ pub struct ColumnDef {
 /// An index definition. All indexes are single-column; that is all the RUBiS
 /// and wiki schemas need, and it keeps the planner's invalidation-tag rules
 /// (§5.3) easy to follow.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct IndexDef {
     /// Index name (unique within the table).
     pub name: String,
@@ -32,7 +31,7 @@ pub struct IndexDef {
 /// Every table has an implicit, unique, integer primary key column which must
 /// be listed first; the data generator and applications follow this
 /// convention.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TableSchema {
     /// Table name.
     pub name: String,

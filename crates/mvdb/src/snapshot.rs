@@ -9,12 +9,11 @@
 
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
 use txtypes::{Error, Result, Timestamp};
 
 /// Identifier of a pinned snapshot: the commit timestamp of the last
 /// transaction visible to it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct SnapshotId(pub Timestamp);
 
 impl SnapshotId {

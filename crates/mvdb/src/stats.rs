@@ -1,6 +1,6 @@
 //! Database statistics counters.
 //!
-//! [`DbStats`] is the serializable snapshot handed to callers;
+//! [`DbStats`] is the plain-value snapshot handed to callers;
 //! [`AtomicDbStats`] is the engine's live counter bank, updated with relaxed
 //! atomics so that statistics never force otherwise-independent operations to
 //! share a lock. [`ShardStats`] reports per-table lock activity — how often
@@ -8,14 +8,12 @@
 //! acquisition had to wait — so lock contention regressions show up in
 //! benchmark output instead of only in flat scaling curves.
 
-use serde::{Deserialize, Serialize};
-
 // The striped-counter primitive moved to the shared `obs` crate; re-exported
 // here so existing `mvdb::stats::StripedCounter` users keep compiling.
 pub use obs::StripedCounter;
 
 /// Counters accumulated over the lifetime of a [`crate::Database`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DbStats {
     /// SELECT queries executed.
     pub queries: u64,
@@ -114,7 +112,7 @@ impl AtomicDbStats {
 
 /// Per-table-shard lock activity, snapshotted by
 /// [`crate::Database::shard_stats`].
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ShardStats {
     /// The table this shard stores.
     pub table: String,

@@ -8,7 +8,6 @@
 //! isolation, and it is precisely the information the paper's modified
 //! database reuses to compute validity intervals (§5.1–5.2).
 
-use serde::{Deserialize, Serialize};
 use txtypes::{Timestamp, ValidityInterval};
 
 /// A logical row identity, stable across versions of the same row.
@@ -18,7 +17,7 @@ pub type RowId = u64;
 pub type TxnId = u64;
 
 /// The creation/deletion stamp on a tuple version.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Stamp {
     /// Produced by a transaction that committed at the given timestamp.
     Committed(Timestamp),
@@ -47,7 +46,7 @@ impl Stamp {
 }
 
 /// One version of a row.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TupleVersion {
     /// The logical row this version belongs to.
     pub row_id: RowId,

@@ -20,14 +20,13 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Condvar, Mutex};
 use std::time::Duration;
 
-use serde::{Deserialize, Serialize};
 use txtypes::{Error, Result};
 
 /// Name of the log file inside a durable database directory.
 pub const WAL_FILE: &str = "wal.log";
 
 /// When (and whether) commits wait for an fsync before acknowledging.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FsyncPolicy {
     /// Every commit waits for its own fsync (a leader still batches
     /// concurrent arrivals into one sync, but never dallies).

@@ -3,11 +3,10 @@
 use std::collections::btree_map::{BTreeMap, Entry};
 
 use parking_lot::Mutex;
-use serde::{Deserialize, Serialize};
 use txtypes::{SimClock, Staleness, Timestamp, WallClock};
 
 /// One entry in the pincushion's table.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PinnedSnapshot {
     /// The snapshot's identifier: the commit timestamp of the last
     /// transaction visible to it.
@@ -20,7 +19,7 @@ pub struct PinnedSnapshot {
 }
 
 /// Configuration of the pincushion.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct PincushionConfig {
     /// Unused snapshots older than this many microseconds are reaped (the
     /// database is asked to `UNPIN` them).
@@ -39,7 +38,7 @@ impl Default for PincushionConfig {
 }
 
 /// Operation counters for the pincushion.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PincushionStats {
     /// `fresh_pins` requests served.
     pub queries: u64,

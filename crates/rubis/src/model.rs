@@ -4,11 +4,9 @@
 //! the paper argues are worth caching (§1): they bundle one or more query
 //! results into the internal representation the page-rendering code consumes.
 
-use serde::{Deserialize, Serialize};
-
 txcache::codec_struct! {
     /// A registered user, as shown on user-info pages.
-    #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+    #[derive(Debug, Clone, PartialEq)]
     pub struct UserInfo {
         /// User id.
         pub id: i64,
@@ -25,7 +23,7 @@ txcache::codec_struct! {
 
 txcache::codec_struct! {
     /// An auction item with full details, as shown on item pages.
-    #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+    #[derive(Debug, Clone, PartialEq)]
     pub struct ItemDetails {
         /// Item id.
         pub id: i64,
@@ -52,7 +50,7 @@ txcache::codec_struct! {
 
 txcache::codec_struct! {
     /// A one-line item summary, as shown in search listings.
-    #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+    #[derive(Debug, Clone, PartialEq)]
     pub struct ItemSummary {
         /// Item id.
         pub id: i64,
@@ -67,7 +65,7 @@ txcache::codec_struct! {
 
 txcache::codec_struct! {
     /// A single bid in an item's bid history.
-    #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+    #[derive(Debug, Clone, PartialEq)]
     pub struct BidInfo {
         /// Bid id.
         pub id: i64,
@@ -82,7 +80,7 @@ txcache::codec_struct! {
 
 txcache::codec_struct! {
     /// A comment left on a user's profile.
-    #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+    #[derive(Debug, Clone, PartialEq)]
     pub struct CommentInfo {
         /// Comment id.
         pub id: i64,
@@ -98,7 +96,7 @@ txcache::codec_struct! {
 txcache::codec_struct! {
     /// A rendered page: what the page-granularity cacheable functions return
     /// (§7.1 caches "large portions of the generated HTML output").
-    #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+    #[derive(Debug, Clone, PartialEq)]
     pub struct RenderedPage {
         /// Page title.
         pub title: String,

@@ -11,8 +11,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::timestamp::Timestamp;
 
 /// The range of commit timestamps over which a value was current.
@@ -21,7 +19,7 @@ use crate::timestamp::Timestamp;
 /// became valid at commit 46 and was invalidated by commit 53 is valid at
 /// timestamps 46..=52 and is written `[46, 53)`. A still-valid entry has
 /// `upper == None` and is written `[46, ∞)`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ValidityInterval {
     /// Commit timestamp of the transaction that made the value valid.
     pub lower: Timestamp,

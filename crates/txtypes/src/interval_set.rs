@@ -11,13 +11,11 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::interval::ValidityInterval;
 use crate::timestamp::Timestamp;
 
 /// A union of disjoint, non-adjacent validity intervals kept in sorted order.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct IntervalSet {
     /// Sorted, pairwise-disjoint, non-adjacent intervals.
     intervals: Vec<ValidityInterval>,

@@ -7,12 +7,10 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::timestamp::WallClock;
 
 /// How stale a read-only transaction's snapshot is allowed to be.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Staleness {
     /// The transaction must run on the latest database state (equivalent to a
     /// zero-second bound): no previously pinned snapshot may be reused unless

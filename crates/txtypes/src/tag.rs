@@ -11,10 +11,8 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// A single invalidation tag: a table plus an optional key description.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct InvalidationTag {
     /// The table the dependency is on.
     pub table: String,
@@ -79,7 +77,7 @@ impl fmt::Display for InvalidationTag {
 ///
 /// Tag sets are small (one or a few tags per query, a handful per cached
 /// object), so a sorted `Vec` with deduplication is both compact and cheap.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct TagSet {
     tags: Vec<InvalidationTag>,
 }

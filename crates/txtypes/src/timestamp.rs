@@ -10,15 +10,13 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// A logical database commit timestamp.
 ///
 /// `Timestamp(n)` identifies the database state produced by the first `n`
 /// committed update transactions. `Timestamp::ZERO` is the empty/initial
 /// database state. Timestamps are totally ordered and dense enough for our
 /// purposes (one unit per commit).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Timestamp(pub u64);
 
 impl Timestamp {
@@ -65,9 +63,7 @@ impl fmt::Display for Timestamp {
 /// wall-clock time (the pincushion's staleness checks, cache eviction of
 /// too-stale entries, the workload generator's think times) read it from
 /// there. Using an integer keeps the simulation deterministic.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct WallClock(pub u64);
 
 impl WallClock {

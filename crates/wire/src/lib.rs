@@ -48,6 +48,19 @@
 //! answer with an explicit [`Response::Error`] frame carrying
 //! [`ErrorCode::Version`].
 //!
+//! ## Ordering within a connection
+//!
+//! The protocol promises nothing about the order in which a server *applies*
+//! the requests of one connection, only that each response carries its
+//! request's correlation id. `txcached`'s reactor hands requests to a shared
+//! worker pool, so a pipelined `Put` may apply after an `InvalidationBatch`
+//! sent behind it. That is safe today only because the client awaits every
+//! `InvalidationBatch` before sending the next, and because the node's
+//! history scan or its history floor catches a `Put` that arrives after an
+//! invalidation it should have met. ROADMAP.md (open item 1) plans the
+//! contract that makes this explicit: a connection's requests apply in
+//! arrival order; different connections run in parallel.
+//!
 //! ## Transports
 //!
 //! The framing layer runs over anything implementing [`Transport`]

@@ -4,6 +4,7 @@
 //! against an externally started server.
 
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use bytes::Bytes;
 use txcache_repro::cache_server::{
@@ -70,6 +71,19 @@ fn commit_invalidation_batch_truncates_remote_entry_validity() {
         tags,
         WallClock::ZERO,
     );
+    // That `Put` is pipelined, and the reactor may apply one connection's
+    // requests out of arrival order (see `cache-server/src/event_loop.rs`).
+    // Wait until the node has applied it, so the batch below meets a
+    // still-valid entry instead of racing the insert into §4.2's late-insert
+    // path, which truncates the entry but counts no invalidation.
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while remote.stats().insertions != 1 {
+        assert!(
+            Instant::now() < deadline,
+            "the pipelined Put was not applied"
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
 
     // Commit an update that touches the row.
     let txn = db.begin_rw().unwrap();

@@ -2,15 +2,40 @@
 //! algebra, dual-granularity tag matching, the cache server's lookup
 //! contract, the codec, and the §6.2.1 pin-set invariants.
 
+use std::sync::OnceLock;
+
 use bytes::Bytes;
 use proptest::prelude::*;
 
 use txcache_repro::cache_server::{CacheNode, LookupOutcome, LookupRequest, NodeConfig};
+use txcache_repro::rubis::{BidInfo, CommentInfo, ItemDetails, RenderedPage, UserInfo};
 use txcache_repro::txcache::codec;
 use txcache_repro::txcache::PinSet;
 use txcache_repro::txtypes::{
     CacheKey, IntervalSet, InvalidationTag, TagSet, Timestamp, ValidityInterval,
 };
+
+#[path = "support/value_corpus.rs"]
+mod value_corpus;
+
+/// The golden value-codec corpus, built once per test binary.
+fn value_corpus_cases() -> &'static [(String, Vec<u8>)] {
+    static CASES: OnceLock<Vec<(String, Vec<u8>)>> = OnceLock::new();
+    CASES.get_or_init(value_corpus::cases)
+}
+
+/// Decodes `bytes` as each type a RUBiS cacheable function returns. The
+/// results are discarded: only a panic would fail the caller.
+fn decode_as_every_rubis_result(bytes: &[u8]) {
+    let _ = codec::decode::<Option<UserInfo>>(bytes);
+    let _ = codec::decode::<Option<i64>>(bytes);
+    let _ = codec::decode::<Option<ItemDetails>>(bytes);
+    let _ = codec::decode::<Vec<BidInfo>>(bytes);
+    let _ = codec::decode::<Vec<CommentInfo>>(bytes);
+    let _ = codec::decode::<Vec<(i64, String)>>(bytes);
+    let _ = codec::decode::<Vec<i64>>(bytes);
+    let _ = codec::decode::<RenderedPage>(bytes);
+}
 
 fn interval_strategy() -> impl Strategy<Value = ValidityInterval> {
     (0u64..200, proptest::option::of(1u64..100)).prop_map(|(lo, width)| match width {
@@ -133,17 +158,40 @@ proptest! {
         flag in any::<bool>(),
         opt in proptest::option::of(any::<u32>()),
     ) {
-        #[derive(serde::Serialize, serde::Deserialize, PartialEq, Debug)]
-        struct Blob {
-            ints: Vec<i64>,
-            text: String,
-            flag: bool,
-            opt: Option<u32>,
+        txcache_repro::txcache::codec_struct! {
+            #[derive(PartialEq, Debug)]
+            struct Blob {
+                ints: Vec<i64>,
+                text: String,
+                flag: bool,
+                opt: Option<u32>,
+            }
         }
         let blob = Blob { ints, text, flag, opt };
-        let encoded = codec::encode(&blob).unwrap();
+        let encoded = codec::encode(&blob);
         let decoded: Blob = codec::decode(&encoded).unwrap();
         prop_assert_eq!(decoded, blob);
+    }
+
+    #[test]
+    fn corrupt_cached_bytes_never_panic_the_decoder(
+        random in proptest::collection::vec(any::<u8>(), 0..96),
+        seed in any::<u64>(),
+    ) {
+        // Cached values come back from a remote node: whatever bytes arrive,
+        // decoding them as any RUBiS result type is a value or an error.
+        decode_as_every_rubis_result(&random);
+        for (i, (_, value)) in value_corpus_cases().iter().enumerate() {
+            let mix = seed.wrapping_add(i as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 8;
+            let cut = (mix % (value.len() as u64 + 1)) as usize;
+            decode_as_every_rubis_result(&value[..cut]);
+            if !value.is_empty() {
+                let bit = (mix.rotate_left(29) % (value.len() as u64 * 8)) as usize;
+                let mut flipped = value.clone();
+                flipped[bit / 8] ^= 1 << (bit % 8);
+                decode_as_every_rubis_result(&flipped);
+            }
+        }
     }
 
     #[test]
@@ -629,8 +677,8 @@ proptest! {
                     let validity =
                         lower.and_then(|lo| ValidityInterval::bounded(*lo, newest.timestamp));
                     if let Some(validity) = validity {
-                        let key = CacheKey::new("planted", codec::encode_hex(&0i64).unwrap());
-                        let value = codec::encode(&7i64).unwrap();
+                        let key = CacheKey::new("planted", codec::encode_hex(&0i64));
+                        let value = codec::encode(&7i64);
                         txcache.cache().insert(
                             key,
                             value,
