@@ -38,6 +38,26 @@ fn spawn_servers(n: usize) -> (Vec<TxcachedServer>, Vec<String>) {
     (servers, addrs)
 }
 
+/// Waits until the nodes behind `backend` have applied `n` inserts in all.
+/// Puts are pipelined, and the reactor may apply one connection's requests
+/// out of arrival order (see `cache-server/src/event_loop.rs`), so a request
+/// sent right behind a `Put` can overtake it. A test that reads back what it
+/// just wrote waits here first; the assertions after it stay exact.
+fn await_insertions(backend: &dyn CacheBackend, n: u64) {
+    let deadline = Instant::now() + Duration::from_secs(5);
+    loop {
+        let applied = backend.stats().insertions;
+        if applied == n {
+            return;
+        }
+        assert!(
+            Instant::now() < deadline,
+            "pipelined puts not applied: {applied} of {n} insertions"
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
+}
+
 /// A database commit's invalidation batch, pushed over TCP, must truncate
 /// the validity interval of a still-valid entry on a remote node — the §4.2
 /// contract, across a real server boundary.
@@ -71,19 +91,10 @@ fn commit_invalidation_batch_truncates_remote_entry_validity() {
         tags,
         WallClock::ZERO,
     );
-    // That `Put` is pipelined, and the reactor may apply one connection's
-    // requests out of arrival order (see `cache-server/src/event_loop.rs`).
-    // Wait until the node has applied it, so the batch below meets a
+    // Let the pipelined `Put` apply first, so the batch below meets a
     // still-valid entry instead of racing the insert into §4.2's late-insert
     // path, which truncates the entry but counts no invalidation.
-    let deadline = Instant::now() + Duration::from_secs(5);
-    while remote.stats().insertions != 1 {
-        assert!(
-            Instant::now() < deadline,
-            "the pipelined Put was not applied"
-        );
-        std::thread::sleep(Duration::from_millis(1));
-    }
+    await_insertions(&remote, 1);
 
     // Commit an update that touches the row.
     let txn = db.begin_rw().unwrap();
@@ -142,6 +153,7 @@ fn dead_nodes_degrade_to_misses() {
         TagSet::new(),
         WallClock::ZERO,
     );
+    await_insertions(&remote, 1);
     assert!(remote
         .lookup(&key, &LookupRequest::at(Timestamp(1)))
         .is_hit());
@@ -189,6 +201,7 @@ fn healed_connection_seals_still_valid_entries() {
         tags.clone(),
         WallClock::ZERO,
     );
+    await_insertions(&remote, 1);
     remote.apply_invalidations(&[], Timestamp(10));
     assert!(remote
         .lookup(&key, &LookupRequest::at(Timestamp(10)))
@@ -278,6 +291,7 @@ fn multiget_partial_hits_line_up_on_both_backends() {
                 WallClock::ZERO,
             );
         }
+        await_insertions(backend, 8);
         let request = LookupRequest::at(Timestamp(1));
         let outcomes = backend.lookup_many(&keys, &request);
         assert_eq!(outcomes.len(), keys.len(), "{label}: one outcome per key");
@@ -305,6 +319,7 @@ fn multiget_partial_hits_line_up_on_both_backends() {
             })
             .collect();
         backend.insert_many(fills, WallClock::ZERO);
+        await_insertions(backend, 16);
         for (i, outcome) in backend.lookup_many(&keys, &request).iter().enumerate() {
             match outcome {
                 LookupOutcome::Hit { value, .. } => {
@@ -362,6 +377,7 @@ fn runtime_join_and_leave_republish_the_ring() {
             WallClock::ZERO,
         );
     }
+    await_insertions(&remote, 2 * keys.len() as u64);
     assert!(remote
         .lookup_many(&keys, &request)
         .iter()
@@ -395,6 +411,7 @@ fn runtime_join_and_leave_republish_the_ring() {
     );
     // Once migrated, the same batch is all first-hop hits — no new fills.
     let fills_after_migration = remote.migration_fills();
+    await_insertions(&remote, 2 * keys.len() as u64 + fills_after_migration);
     assert!(remote
         .lookup_many(&keys, &request)
         .iter()
@@ -463,6 +480,7 @@ fn stale_ring_clients_get_wrong_epoch_redirects() {
         TagSet::new(),
         WallClock::ZERO,
     );
+    await_insertions(&stale, 1);
     assert!(stale.lookup(&keys[0], &request).is_hit());
 }
 
