@@ -31,8 +31,8 @@ pub enum TimestampPolicy {
 /// Which cache transport the library uses (§4, §7).
 ///
 /// The addresses and socket options of a remote deployment are not part of
-/// this config (it stays `Copy`); they are supplied when the
-/// backend itself is built, e.g. via
+/// this config (it stays `Copy`); they are supplied when the backend itself
+/// is built, e.g. via
 /// [`RemoteCluster::connect`](crate::backend::RemoteCluster::connect). The
 /// kind recorded here is kept consistent with the active backend by
 /// [`TxCache::with_backend`](crate::TxCache::with_backend).

@@ -75,8 +75,8 @@ impl CacheBackend for Recorder {
 /// The corpus being rendered, one line per case.
 #[derive(Default)]
 struct Corpus {
-    cases_out: Vec<(String, Vec<u8>)>,
-    cases: HashMap<String, usize>,
+    pairs: Vec<(String, Vec<u8>)>,
+    next_case: HashMap<String, usize>,
 }
 
 impl Corpus {
@@ -95,14 +95,14 @@ impl Corpus {
             "{function}: re-encoding"
         );
 
-        let case = self.cases.entry(function.to_string()).or_default();
+        let case = self.next_case.entry(function.to_string()).or_default();
         let mut fnv = FNV_OFFSET;
         fnv1a(&mut fnv, value);
         let line = format!(
             "{function}#{case} key={key} len={} fnv={fnv:016x}",
             value.len()
         );
-        self.cases_out.push((line, value.to_vec()));
+        self.pairs.push((line, value.to_vec()));
         *case += 1;
     }
 
@@ -319,5 +319,5 @@ pub fn cases() -> Vec<(String, Vec<u8>)> {
         rubis_cases(&mut corpus, dataset);
     }
     edge_cases(&mut corpus);
-    corpus.cases_out
+    corpus.pairs
 }
