@@ -30,6 +30,11 @@
 set -uo pipefail
 cd "$(dirname "$0")"
 
+# A hung test (e.g. a server teardown that never returns) fails its named
+# step after this long instead of stalling CI; `timeout` exits 124.
+TEST_TIMEOUT_SECS=1800
+NET_SMOKE_TIMEOUT_SECS=300
+
 NO_CLIPPY=0
 BENCH_SMOKE=0
 NET_SMOKE=0
@@ -93,11 +98,13 @@ fi
 if [ "$PROFILE" = release ]; then
     run_step "cargo build --release (all targets)" \
         cargo build --workspace --release --all-targets
-    run_step "cargo test --release" cargo test --workspace --release --quiet
+    run_step "cargo test --release" \
+        timeout "$TEST_TIMEOUT_SECS" cargo test --workspace --release --quiet
     run_step "examples compile check" cargo build --release --examples
 else
     run_step "cargo build (all targets)" cargo build --workspace --all-targets
-    run_step "cargo test" cargo test --workspace --quiet
+    run_step "cargo test" \
+        timeout "$TEST_TIMEOUT_SECS" cargo test --workspace --quiet
     run_step "examples compile check" cargo build --examples
 fi
 
@@ -183,7 +190,7 @@ if [ "$NET_SMOKE" -eq 1 ]; then
     run_step "net smoke: txcached --ping ${TXCACHED_ADDR}" \
         target/release/txcached --ping "$TXCACHED_ADDR"
     run_step "net smoke: remote-backend consistency vs ${TXCACHED_ADDR}" \
-        env TXCACHED_ADDRS="$TXCACHED_ADDR" \
+        env TXCACHED_ADDRS="$TXCACHED_ADDR" timeout "$NET_SMOKE_TIMEOUT_SECS" \
         cargo test --release --quiet --test net_smoke remote_backend_consistency_smoke
     kill "$TXCACHED_PID" 2>/dev/null
     wait "$TXCACHED_PID" 2>/dev/null

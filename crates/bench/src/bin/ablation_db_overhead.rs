@@ -22,8 +22,8 @@ fn main() {
     // A stock database has no validity tracking; since the workload bypasses
     // the cache entirely in both runs, any difference is pure bookkeeping
     // overhead. The executor cost is identical in our simulated service-time
-    // model, so we additionally report the real (wall-clock) per-query cost
-    // measured by the Criterion bench `ablation_validity_tracking`.
+    // model; the real (wall-clock) per-query cost is the `tracking_on` /
+    // `tracking_off` leg of the `query_paths` binary.
     println!("# §8.1: database-side overhead of TxCache support (no caching in both runs)");
     println!("{}", summary_line("modified DB (validity on)", &modified));
     println!(
@@ -33,8 +33,6 @@ fn main() {
             .db_us_per_request(&DbKind::InMemory.cost_model())
     );
     println!();
-    println!("Run `cargo bench -p bench --bench ablation_validity_tracking` for the wall-clock");
-    println!(
-        "per-query comparison of validity tracking on vs off (paper: no observable difference)."
-    );
+    println!("Run `cargo run --release --bin query_paths` for the wall-clock per-query");
+    println!("comparison of validity tracking on vs off (paper: no observable difference).");
 }

@@ -13,6 +13,11 @@
 //!   probe plus the no-materialization COUNT loop;
 //! * **in_list**    — `WHERE category IN (c, c+1, c+2)` as `IndexIn` probes.
 //!
+//! A last, ungated leg is §8.1's wall-clock comparison: a point query on a
+//! tiny RUBiS database with validity tracking and invalidation tags on
+//! (`tracking_on`) vs off (`tracking_off`). The paper reports no observable
+//! difference; the ratio is printed and never enters the report.
+//!
 //! All legs produce answers with validity intervals identical to the
 //! sequential scan (enforced by `tests/properties.rs`); this binary measures
 //! the throughput side and doubles as the CI gate (`ci.sh --bench-smoke`).
@@ -31,9 +36,10 @@ use std::time::Instant;
 
 use bench::{gate_failures, BenchArgs, SweepReport};
 use mvdb::{
-    AccessPath, Aggregate, ColumnType, Database, DbConfig, Predicate, SelectQuery, SortOrder,
-    TableSchema, Value,
+    AccessPath, Aggregate, ColumnType, Database, DbConfig, ExecOptions, Predicate, SelectQuery,
+    SortOrder, TableSchema, Value,
 };
+use rubis::RubisScale;
 use txtypes::SimClock;
 
 const CATEGORIES: i64 = 20;
@@ -70,8 +76,8 @@ fn build_db(scale: f64) -> (Database, usize) {
 }
 
 /// Runs `ops` iterations of `make_query`, one read-only transaction each,
-/// and returns the rate in queries/s.
-fn drive(db: &Database, label: &str, ops: usize, make_query: impl Fn(u64) -> SelectQuery) -> f64 {
+/// and returns the elapsed seconds.
+fn run_queries(db: &Database, ops: usize, make_query: impl Fn(u64) -> SelectQuery) -> f64 {
     let started = Instant::now();
     for i in 0..ops as u64 {
         let q = make_query(i);
@@ -80,9 +86,53 @@ fn drive(db: &Database, label: &str, ops: usize, make_query: impl Fn(u64) -> Sel
         db.commit(token).expect("commit ro");
         assert!(!result.rows.is_empty(), "every leg returns at least a row");
     }
-    let rate = ops as f64 / started.elapsed().as_secs_f64().max(1e-9);
+    started.elapsed().as_secs_f64().max(1e-9)
+}
+
+/// Prints and returns a leg's rate in queries/s.
+fn report_rate(label: &str, ops: usize, secs: f64) -> f64 {
+    let rate = ops as f64 / secs;
     println!("    {label:<12} {rate:>12.0} q/s ({ops} queries)");
     rate
+}
+
+/// Runs one leg and prints its rate in queries/s.
+fn drive(db: &Database, label: &str, ops: usize, make_query: impl Fn(u64) -> SelectQuery) -> f64 {
+    report_rate(label, ops, run_queries(db, ops, make_query))
+}
+
+/// §8.1: the per-query cost of the database-side TxCache support, measured
+/// as the rate of one RUBiS point query with the machinery off and on.
+/// The two sides alternate in short rounds, so drift on a shared host lands
+/// on both. Returns the on/off rate ratio.
+fn validity_tracking_leg(requests: usize) -> f64 {
+    const ROUNDS: usize = 10;
+    let dbs = [false, true].map(|track_validity| {
+        let db = Database::new(
+            DbConfig {
+                exec: ExecOptions {
+                    track_validity,
+                    ..ExecOptions::default()
+                },
+                ..DbConfig::default()
+            },
+            SimClock::new(),
+        );
+        rubis::create_tables(&db).expect("create rubis tables");
+        rubis::populate(&db, &RubisScale::tiny(), 1).expect("populate rubis");
+        db
+    });
+    let mut secs = [0.0; 2];
+    for _ in 0..ROUNDS {
+        for (side, db) in dbs.iter().enumerate() {
+            secs[side] += run_queries(db, requests, |_| {
+                SelectQuery::table("items").filter(Predicate::eq("id", 17i64))
+            });
+        }
+    }
+    let off = report_rate("tracking_off", ROUNDS * requests, secs[0]);
+    let on = report_rate("tracking_on", ROUNDS * requests, secs[1]);
+    on / off
 }
 
 fn topn_query() -> SelectQuery {
@@ -141,6 +191,11 @@ fn main() {
         SelectQuery::table("items").aggregate(Aggregate::Max("id".into()))
     });
     let index_topn = drive(&db, "index_topn", requests, |_| topn_query());
+    let tracking = validity_tracking_leg(requests);
+    println!(
+        "\n  §8.1 validity tracking on vs off: {tracking:.2}x the rate \
+         (ungated; paper: no observable difference)"
+    );
 
     // Hard floor, independent of any baseline file: top-N pushdown must beat
     // the forced sequential scan by at least 3x (or --min-speedup if set

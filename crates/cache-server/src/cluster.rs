@@ -1,52 +1,36 @@
-//! A cluster of cache nodes behind an epoch-versioned consistent-hash ring.
+//! A fixed cluster of cache nodes behind a consistent-hash ring.
 //!
-//! [`CacheCluster`] is what the TxCache library talks to: it routes lookups
-//! and inserts to each key's *replica set* (primary + R−1 ring successors,
-//! see [`RingView`]), fans invalidation messages out to every node
-//! (standing in for the paper's reliable multicast), and aggregates
-//! statistics. Nodes are internally sharded ([`CacheNode`]), so the cluster
-//! holds them directly — no wrapper locks: concurrent application servers
-//! contend only when they touch the same *shard* of the same node, and
-//! lookups on distinct keys proceed under shared or disjoint shard locks.
+//! [`CacheCluster`] is the in-process cache tier the TxCache library can
+//! talk to: it routes lookups and inserts to each key's *replica set*
+//! (primary + R−1 ring successors, see [`RingView`]), fans invalidation
+//! messages out to every node (standing in for the paper's reliable
+//! multicast), and aggregates statistics. Nodes are internally sharded
+//! ([`CacheNode`]), so the cluster holds them directly — no wrapper locks:
+//! concurrent application servers contend only when they touch the same
+//! *shard* of the same node, and lookups on distinct keys proceed under
+//! shared or disjoint shard locks.
 //!
-//! Membership is dynamic: [`CacheCluster::join`] and
-//! [`CacheCluster::leave`] publish a new ring epoch at runtime through the
-//! cluster's [`Membership`] handle. During the migration window that a
-//! membership change opens, reads that miss under the current view fall
-//! back to the key's owner under the *previous* view — and a fallback hit
-//! is re-inserted at the new owner, so keys migrate as they are touched.
-//! [`CacheCluster::retire_previous`] closes the window once migration has
-//! warmed the new placement.
+//! The ring is built once, with the cluster, and never changes: no method
+//! takes a cluster-level lock. Runtime membership (join, leave, epoch
+//! fencing and read-driven migration) belongs to the networked tier alone —
+//! `txcache::RemoteCluster` is the one membership implementation.
 
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use bytes::Bytes;
-use parking_lot::RwLock;
 use txtypes::{CacheKey, TagSet, Timestamp, ValidityInterval, WallClock};
 
 use crate::entry::{LookupOutcome, LookupRequest};
-use crate::membership::Membership;
 use crate::node::{CacheNode, NodeConfig};
-use crate::ring::RingBuilder;
-use crate::stats::{CacheShardStats, CacheStats};
+use crate::ring::{RingBuilder, RingView};
+use crate::stats::CacheStats;
 
-/// A set of cache nodes plus the epoch-versioned ring that places keys on
-/// them.
+/// A fixed set of cache nodes plus the ring that places keys on them.
 pub struct CacheCluster {
-    /// Every node currently serving, by name: the current view's members
-    /// plus any node that left but still serves its old keys until the
-    /// previous epoch is retired.
-    nodes: RwLock<HashMap<String, Arc<CacheNode>>>,
-    membership: Membership,
-    /// Configuration applied to nodes created by [`CacheCluster::join`].
-    config: NodeConfig,
-    /// Monotonic name counter so joined nodes never reuse a name.
-    next_node_id: AtomicUsize,
-    /// Entries copied from their previous-epoch owner to their new owner by
-    /// a migration-window fallback hit.
-    migrated_entries: AtomicU64,
+    view: Arc<RingView>,
+    /// One node per ring member, in view order: `replicas_for` indexes
+    /// this list directly.
+    nodes: Vec<Arc<CacheNode>>,
 }
 
 impl CacheCluster {
@@ -81,23 +65,18 @@ impl CacheCluster {
         replication: usize,
         config: NodeConfig,
     ) -> CacheCluster {
-        let node_count = node_count.max(1);
-        let names: Vec<String> = (0..node_count).map(|i| format!("cache-{i}")).collect();
+        let names: Vec<String> = (0..node_count.max(1))
+            .map(|i| format!("cache-{i}"))
+            .collect();
         let nodes = names
             .iter()
-            .map(|n| (n.clone(), Arc::new(CacheNode::new(n.clone(), config))))
+            .map(|name| Arc::new(CacheNode::new(name.clone(), config)))
             .collect();
         let view = RingBuilder::new()
             .add_all(names)
             .replication(replication)
             .build(1);
-        CacheCluster {
-            nodes: RwLock::new(nodes),
-            membership: Membership::new(view),
-            config,
-            next_node_id: AtomicUsize::new(node_count),
-            migrated_entries: AtomicU64::new(0),
-        }
+        CacheCluster { view, nodes }
     }
 
     /// Creates a cluster whose per-node capacity divides `total_bytes`
@@ -108,121 +87,37 @@ impl CacheCluster {
         CacheCluster::new(node_count, total_bytes / node_count)
     }
 
-    /// Number of nodes in the current ring view.
+    /// Number of nodes on the ring.
     #[must_use]
     pub fn node_count(&self) -> usize {
-        self.membership.current().len()
+        self.nodes.len()
     }
 
     /// The replica-set size keys are placed with.
     #[must_use]
     pub fn replication(&self) -> usize {
-        self.membership.current().replication()
+        self.view.replication()
     }
 
-    /// The current membership epoch.
-    #[must_use]
-    pub fn epoch(&self) -> u64 {
-        self.membership.epoch()
-    }
-
-    /// Every serving node, in current-view order (diagnostics and tests).
-    /// Nodes that left but still serve their migration window are excluded.
+    /// Every node, in ring-view order (diagnostics and tests).
     #[must_use]
     pub fn nodes(&self) -> Vec<Arc<CacheNode>> {
-        let view = self.membership.current();
-        let nodes = self.nodes.read();
-        view.node_names()
-            .iter()
-            .filter_map(|name| nodes.get(name).cloned())
-            .collect()
-    }
-
-    /// Adds a freshly created node to the ring at runtime, publishing the
-    /// next epoch. Returns the new node's name and the epoch. The displaced
-    /// view stays live for reads (see [`CacheCluster::retire_previous`]).
-    pub fn join(&self) -> (String, u64) {
-        let name = format!("cache-{}", self.next_node_id.fetch_add(1, Ordering::SeqCst));
-        let node = Arc::new(CacheNode::new(name.clone(), self.config));
-        // The node is resolvable *before* the view that routes to it is
-        // published, so a reader holding the new view never misses the map.
-        self.nodes.write().insert(name.clone(), node);
-        let view = self.membership.join(name.clone());
-        (name, view.epoch())
-    }
-
-    /// Removes a node from the ring at runtime, publishing the next epoch.
-    /// The node keeps serving reads for keys it owned under the previous
-    /// view until [`CacheCluster::retire_previous`] drops it. Returns the
-    /// new epoch.
-    pub fn leave(&self, name: &str) -> u64 {
-        self.membership.leave(name).epoch()
-    }
-
-    /// Closes the migration window: previous-epoch owners stop being
-    /// consulted and nodes that left the ring are dropped.
-    pub fn retire_previous(&self) {
-        let view = self.membership.current();
-        self.nodes
-            .write()
-            .retain(|name, _| view.node_names().contains(name));
-        self.membership.retire_previous();
-    }
-
-    /// Entries copied to their new owner by migration-window fallback hits.
-    #[must_use]
-    pub fn migrated_entries(&self) -> u64 {
-        self.migrated_entries.load(Ordering::Relaxed)
+        self.nodes.clone()
     }
 
     /// Looks up a key on its replica set: the primary first, then (only on
-    /// a miss) each ring successor. During a migration window, a miss also
-    /// consults the key's previous-epoch owner; a hit there is copied to
-    /// the new primary so the key migrates.
+    /// a miss) each ring successor. Returns the first hit, or the last
+    /// replica's miss.
     pub fn lookup(&self, key: &CacheKey, request: &LookupRequest) -> LookupOutcome {
-        let view = self.membership.current();
-        let nodes = self.nodes.read();
-        let names = view.node_names();
-        let replicas = view.replicas_for(key);
-        let mut outcome = LookupOutcome::Miss(crate::entry::MissKind::Compulsory);
-        for &idx in &replicas {
-            if let Some(node) = nodes.get(&names[idx]) {
-                outcome = node.lookup(key, request);
-                if outcome.is_hit() {
-                    return outcome;
-                }
+        let replicas = self.view.replicas_for(key);
+        let (&last, rest) = replicas.split_last().expect("non-empty replica set");
+        for &idx in rest {
+            let outcome = self.nodes[idx].lookup(key, request);
+            if outcome.is_hit() {
+                return outcome;
             }
         }
-        // Migration window: the old owner serves until the epoch is
-        // retired, and a fallback hit re-inserts at the new owner.
-        if let Some(prev) = self.membership.previous() {
-            let old_name = &prev.node_names()[prev.primary_for(key)];
-            if old_name != &names[replicas[0]] {
-                if let Some(old_node) = nodes.get(old_name) {
-                    let fallback = old_node.lookup(key, request);
-                    if let LookupOutcome::Hit {
-                        value,
-                        stored_validity,
-                        tags,
-                        ..
-                    } = &fallback
-                    {
-                        if let Some(new_owner) = nodes.get(&names[replicas[0]]) {
-                            new_owner.insert(
-                                key.clone(),
-                                value.clone(),
-                                *stored_validity,
-                                tags.clone(),
-                                WallClock::ZERO,
-                            );
-                            self.migrated_entries.fetch_add(1, Ordering::Relaxed);
-                        }
-                        return fallback;
-                    }
-                }
-            }
-        }
-        outcome
+        self.nodes[last].lookup(key, request)
     }
 
     /// Inserts a value on every node of the key's replica set.
@@ -234,26 +129,18 @@ impl CacheCluster {
         tags: TagSet,
         now: WallClock,
     ) {
-        let view = self.membership.current();
-        let nodes = self.nodes.read();
-        let names = view.node_names();
-        let replicas = view.replicas_for(&key);
+        let replicas = self.view.replicas_for(&key);
         let (&last, rest) = replicas.split_last().expect("non-empty replica set");
         for &idx in rest {
-            if let Some(node) = nodes.get(&names[idx]) {
-                node.insert(key.clone(), value.clone(), validity, tags.clone(), now);
-            }
+            self.nodes[idx].insert(key.clone(), value.clone(), validity, tags.clone(), now);
         }
-        if let Some(node) = nodes.get(&names[last]) {
-            node.insert(key, value, validity, tags, now);
-        }
+        self.nodes[last].insert(key, value, validity, tags, now);
     }
 
-    /// Delivers one invalidation-stream message to every serving node (the
-    /// multicast of §4.2), including previous-epoch owners still serving
-    /// their migration window. Messages must be applied in commit order.
+    /// Delivers one invalidation-stream message to every node (the
+    /// multicast of §4.2). Messages must be applied in commit order.
     pub fn apply_invalidation(&self, timestamp: Timestamp, tags: &TagSet) {
-        for node in self.nodes.read().values() {
+        for node in &self.nodes {
             node.apply_invalidation(timestamp, tags);
         }
     }
@@ -262,7 +149,7 @@ impl CacheCluster {
     /// to `ts` have been delivered, so still-valid entries may be served for
     /// lookups up to `ts`.
     pub fn note_timestamp(&self, ts: Timestamp) {
-        for node in self.nodes.read().values() {
+        for node in &self.nodes {
             node.note_timestamp(ts);
         }
     }
@@ -270,35 +157,24 @@ impl CacheCluster {
     /// Eagerly evicts entries that ended before `min_useful_ts` on every
     /// node.
     pub fn evict_stale(&self, min_useful_ts: Timestamp) {
-        for node in self.nodes.read().values() {
+        for node in &self.nodes {
             node.evict_stale(min_useful_ts);
         }
     }
 
-    /// Aggregated statistics across all serving nodes.
+    /// Aggregated statistics across all nodes.
     #[must_use]
     pub fn stats(&self) -> CacheStats {
         let mut total = CacheStats::default();
-        for node in self.nodes.read().values() {
+        for node in &self.nodes {
             total.merge(&node.stats());
         }
         total
     }
 
-    /// Per-shard lock and eviction counters of every node, keyed by node
-    /// name (the cluster-level mirror of [`CacheNode::shard_stats`]), in
-    /// current-view order.
-    #[must_use]
-    pub fn shard_stats(&self) -> Vec<(String, Vec<CacheShardStats>)> {
-        self.nodes()
-            .iter()
-            .map(|n| (n.name().to_string(), n.shard_stats()))
-            .collect()
-    }
-
     /// Resets hit/miss counters on every node.
     pub fn reset_stats(&self) {
-        for node in self.nodes.read().values() {
+        for node in &self.nodes {
             node.reset_stats();
         }
     }
@@ -306,13 +182,13 @@ impl CacheCluster {
     /// Total bytes of cached data across the cluster.
     #[must_use]
     pub fn used_bytes(&self) -> usize {
-        self.nodes.read().values().map(|n| n.used_bytes()).sum()
+        self.nodes.iter().map(|n| n.used_bytes()).sum()
     }
 
     /// Total number of entries across the cluster.
     #[must_use]
     pub fn entry_count(&self) -> usize {
-        self.nodes.read().values().map(|n| n.entry_count()).sum()
+        self.nodes.iter().map(|n| n.entry_count()).sum()
     }
 }
 
@@ -321,7 +197,6 @@ impl std::fmt::Debug for CacheCluster {
         f.debug_struct("CacheCluster")
             .field("nodes", &self.node_count())
             .field("replication", &self.replication())
-            .field("epoch", &self.epoch())
             .field("entries", &self.entry_count())
             .field("used_bytes", &self.used_bytes())
             .finish()
@@ -363,7 +238,6 @@ mod tests {
         assert_eq!(c.entry_count(), 50);
         assert_eq!(c.node_count(), 3);
         assert_eq!(c.replication(), 1);
-        assert_eq!(c.epoch(), 1);
     }
 
     #[test]
@@ -465,76 +339,11 @@ mod tests {
             1,
             "exactly one node owns the single entry"
         );
-        let shard_stats = c.shard_stats();
-        assert_eq!(shard_stats.len(), 3);
-        let writes: u64 = shard_stats
+        let writes: u64 = nodes
             .iter()
-            .flat_map(|(_, shards)| shards.iter().map(|s| s.write_locks))
+            .flat_map(|n| n.shard_stats())
+            .map(|s| s.write_locks)
             .sum();
         assert_eq!(writes, 1);
-    }
-
-    #[test]
-    fn join_migrates_keys_on_fallback_and_retire_closes_the_window() {
-        let c = cluster();
-        for i in 0..200 {
-            c.insert(
-                key(i),
-                Bytes::from_static(b"v"),
-                ValidityInterval::unbounded(Timestamp(1)),
-                TagSet::new(),
-                WallClock::ZERO,
-            );
-        }
-        let (name, epoch) = c.join();
-        assert_eq!(name, "cache-3");
-        assert_eq!(epoch, 2);
-        assert_eq!(c.node_count(), 4);
-
-        // Every key still hits: relocated keys are served by their
-        // previous-epoch owner and copied to the new one.
-        let request = LookupRequest::at(Timestamp(1));
-        for i in 0..200 {
-            assert!(c.lookup(&key(i), &request).is_hit(), "key {i} must hit");
-        }
-        let migrated = c.migrated_entries();
-        assert!(migrated > 0, "some keys must have moved to the new node");
-
-        // After migration, relocated keys hit their *new* owner directly.
-        c.retire_previous();
-        for i in 0..200 {
-            assert!(c.lookup(&key(i), &request).is_hit(), "key {i} post-retire");
-        }
-        assert_eq!(c.migrated_entries(), migrated, "no further fallbacks");
-    }
-
-    #[test]
-    fn leave_keeps_old_owner_serving_until_retired() {
-        let c = cluster();
-        for i in 0..100 {
-            c.insert(
-                key(i),
-                Bytes::from_static(b"v"),
-                ValidityInterval::unbounded(Timestamp(1)),
-                TagSet::new(),
-                WallClock::ZERO,
-            );
-        }
-        let epoch = c.leave("cache-0");
-        assert_eq!(epoch, 2);
-        assert_eq!(c.node_count(), 2);
-
-        // Keys that lived on cache-0 fall back to it during the window and
-        // are copied to their new owner.
-        let request = LookupRequest::at(Timestamp(1));
-        for i in 0..100 {
-            assert!(c.lookup(&key(i), &request).is_hit(), "key {i} must hit");
-        }
-        c.retire_previous();
-        // The departed node is dropped; every key now hits a survivor.
-        assert_eq!(c.nodes().len(), 2);
-        for i in 0..100 {
-            assert!(c.lookup(&key(i), &request).is_hit(), "key {i} post-retire");
-        }
     }
 }

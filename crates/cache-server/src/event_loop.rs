@@ -71,7 +71,7 @@ use wire::{Request, Transport, MAX_FRAME_BYTES, SEQ_BYTES};
 
 use obs::Trace;
 
-use crate::server::{error_frame, log_closed, ConnectionSummary, Shared};
+use crate::server::{error_frame, Shared};
 use crate::telemetry;
 
 /// Token of the listening socket in the poller.
@@ -201,7 +201,6 @@ fn encode_response_frame(seq: u64, response: &wire::Response) -> Vec<u8> {
 /// One multiplexed client connection.
 struct Conn {
     stream: TcpStream,
-    peer: String,
     /// Received-but-unparsed bytes; complete frames are carved off the
     /// front, the remainder waits for the next readable event.
     rx: Vec<u8>,
@@ -217,9 +216,6 @@ struct Conn {
     /// What the poller is currently asked to report, to skip redundant
     /// `epoll_ctl` calls.
     interest: Interest,
-    requests: u64,
-    bytes_in: u64,
-    bytes_out: u64,
 }
 
 impl Conn {
@@ -281,7 +277,12 @@ impl Reactor {
     }
 
     fn run(&mut self) {
-        loop {
+        // The flag is checked before every wait, i.e. after each round's
+        // events — wake byte included — are drained. Checking only after
+        // `wait` returns loses a wake-up: shutdown can set the flag and
+        // write its byte just after that check, `drain_wake` swallows the
+        // byte, and the next `wait` (no timeout) never returns.
+        while !self.shared.shutting_down.load(Ordering::SeqCst) {
             let timeout = self
                 .accept_paused_until
                 .map(|deadline| deadline.saturating_duration_since(Instant::now()));
@@ -385,21 +386,16 @@ impl Reactor {
         if let Ok(closer) = stream.closer() {
             self.shared.open_conns.lock().insert(conn_id, closer);
         }
-        let peer = stream.peer_label();
         self.conns.insert(
             conn_id,
             Conn {
                 stream,
-                peer,
                 rx: Vec::new(),
                 tx: Vec::new(),
                 tx_pos: 0,
                 in_flight: 0,
                 closing: false,
                 interest: Interest::READ,
-                requests: 0,
-                bytes_in: 0,
-                bytes_out: 0,
             },
         );
     }
@@ -443,7 +439,6 @@ impl Reactor {
                 }
                 Ok(n) => {
                     conn.rx.extend_from_slice(&self.scratch[..n]);
-                    conn.bytes_in += n as u64;
                     self.shared.counters.bytes_in.add(n as u64);
                 }
                 Err(e) if e.kind() == ErrorKind::WouldBlock => break,
@@ -485,7 +480,6 @@ impl Reactor {
             let payload = body.slice(SEQ_BYTES..);
             match Request::decode_shared(&payload) {
                 Ok(request) => {
-                    conn.requests += 1;
                     conn.in_flight += 1;
                     self.shared.counters.requests.bump();
                     let arrived = self.shared.obs.trace_start();
@@ -525,7 +519,6 @@ impl Reactor {
                 Ok(0) => return false,
                 Ok(n) => {
                     conn.tx_pos += n;
-                    conn.bytes_out += n as u64;
                     self.shared.counters.bytes_out.add(n as u64);
                 }
                 Err(e) if e.kind() == ErrorKind::WouldBlock => break,
@@ -590,15 +583,6 @@ impl Reactor {
         let _ = self.poller.deregister(conn.stream.as_raw_fd());
         self.shared.open_conns.lock().remove(&conn_id);
         self.shared.counters.connections_closed.bump();
-        log_closed(
-            &self.shared,
-            ConnectionSummary {
-                peer: conn.peer,
-                requests: conn.requests,
-                bytes_in: conn.bytes_in,
-                bytes_out: conn.bytes_out,
-            },
-        );
     }
 
     fn teardown(&mut self) {

@@ -22,11 +22,11 @@
 //! * **Eviction** (§4.1): LRU under a per-node byte budget, plus eager
 //!   removal of entries too stale to satisfy any transaction.
 //! * **Consistent hashing** (§4): keys are partitioned across nodes; every
-//!   client maps keys to nodes directly. Placement is published as an
-//!   immutable, epoch-versioned [`RingView`] mapping each key to an ordered
-//!   replica set (primary + R−1 ring successors); the [`Membership`] handle
-//!   supports node join/leave at runtime with a migration window during
-//!   which the old owner keeps serving relocated keys.
+//!   client maps keys to nodes directly. Placement is an immutable,
+//!   epoch-versioned [`RingView`] mapping each key to an ordered replica
+//!   set (primary + R−1 ring successors). The in-process [`CacheCluster`]
+//!   builds its ring once; runtime join/leave lives only in the networked
+//!   client, `txcache::RemoteCluster`, the one membership implementation.
 //! * **Miss classification** (§8.3): compulsory, staleness, capacity and
 //!   consistency misses, used to regenerate Figure 8.
 //!
@@ -49,7 +49,6 @@
 pub mod cluster;
 pub mod entry;
 mod event_loop;
-pub mod membership;
 pub mod node;
 pub mod ring;
 pub mod server;
@@ -59,9 +58,8 @@ pub mod telemetry;
 
 pub use cluster::CacheCluster;
 pub use entry::{CacheEntry, LookupOutcome, LookupRequest, MissKind};
-pub use membership::Membership;
 pub use node::{CacheNode, NodeConfig};
 pub use ring::{RingBuilder, RingView};
-pub use server::{ConnectionSummary, ServerStats, TxcachedServer};
+pub use server::{ServerStats, TxcachedServer};
 pub use stats::{CacheShardStats, CacheStats};
 pub use telemetry::snapshot_from_wire;

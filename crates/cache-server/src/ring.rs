@@ -24,6 +24,9 @@ use std::sync::Arc;
 use txtypes::key::stable_hash_of;
 use txtypes::CacheKey;
 
+/// Virtual points per node on the ring.
+const VNODES: usize = 64;
+
 /// An immutable snapshot of the consistent-hash ring at one membership
 /// epoch.
 #[derive(Debug)]
@@ -33,8 +36,6 @@ pub struct RingView {
     /// hash point → node index.
     points: BTreeMap<u64, usize>,
     node_names: Vec<String>,
-    /// Virtual points per node.
-    vnodes: usize,
     /// Replica-set size R: primary + R−1 distinct ring successors.
     replication: usize,
 }
@@ -97,32 +98,12 @@ impl RingView {
         replicas
     }
 
-    /// The primary owner of `key` (the first entry of
-    /// [`replicas_for`](Self::replicas_for)).
-    ///
-    /// # Panics
-    /// Panics if the view is empty.
-    #[must_use]
-    pub fn primary_for(&self, key: &CacheKey) -> usize {
-        assert!(!self.is_empty(), "ring view has no nodes");
-        let h = key.stable_hash();
-        match self.points.range(h..).next() {
-            Some((_, idx)) => *idx,
-            None => *self
-                .points
-                .values()
-                .next()
-                .expect("non-empty view has points"),
-        }
-    }
-
-    /// Starts building this view's successor: same nodes, virtual-point
-    /// count, and replication factor.
+    /// Starts building this view's successor: same nodes and replication
+    /// factor.
     #[must_use]
     pub fn builder(&self) -> RingBuilder {
         RingBuilder {
             node_names: self.node_names.clone(),
-            vnodes: self.vnodes,
             replication: self.replication,
         }
     }
@@ -136,7 +117,6 @@ impl RingView {
 #[derive(Debug, Clone)]
 pub struct RingBuilder {
     node_names: Vec<String>,
-    vnodes: usize,
     replication: usize,
 }
 
@@ -147,25 +127,13 @@ impl Default for RingBuilder {
 }
 
 impl RingBuilder {
-    /// Default number of virtual points per node.
-    pub const DEFAULT_VNODES: usize = 64;
-
-    /// An empty builder with the default virtual-point count and no
-    /// replication (R = 1).
+    /// An empty builder with no replication (R = 1).
     #[must_use]
     pub fn new() -> RingBuilder {
         RingBuilder {
             node_names: Vec::new(),
-            vnodes: Self::DEFAULT_VNODES,
             replication: 1,
         }
-    }
-
-    /// Sets the number of virtual points per node (min 1).
-    #[must_use]
-    pub fn vnodes(mut self, vnodes: usize) -> RingBuilder {
-        self.vnodes = vnodes.max(1);
-        self
     }
 
     /// Sets the replica-set size R (min 1).
@@ -210,13 +178,13 @@ impl RingBuilder {
     }
 
     /// Builds the immutable view at `epoch`. The epoch is chosen by the
-    /// membership handle publishing the view — monotonically increasing per
-    /// cluster, so it can act as the wire protocol's fencing token.
+    /// cluster publishing the view — monotonically increasing per cluster,
+    /// so it can act as the wire protocol's fencing token.
     #[must_use]
     pub fn build(self, epoch: u64) -> Arc<RingView> {
         let mut points = BTreeMap::new();
         for (idx, name) in self.node_names.iter().enumerate() {
-            for r in 0..self.vnodes {
+            for r in 0..VNODES {
                 let point = stable_hash_of(&(name.as_str(), r));
                 points.insert(point, idx);
             }
@@ -225,7 +193,6 @@ impl RingBuilder {
             epoch,
             points,
             node_names: self.node_names,
-            vnodes: self.vnodes,
             replication: self.replication,
         })
     }
@@ -249,7 +216,6 @@ mod tests {
     fn placement_is_deterministic() {
         let ring = view3();
         for k in keys(50) {
-            assert_eq!(ring.primary_for(&k), ring.primary_for(&k));
             assert_eq!(ring.replicas_for(&k), ring.replicas_for(&k));
         }
         assert_eq!(ring.len(), 3);
@@ -263,7 +229,7 @@ mod tests {
         let ring = view3();
         let mut counts = [0usize; 3];
         for k in keys(3000) {
-            counts[ring.primary_for(&k)] += 1;
+            counts[ring.replicas_for(&k)[0]] += 1;
         }
         for c in counts {
             assert!(
@@ -282,8 +248,8 @@ mod tests {
         let moved = ks
             .iter()
             .filter(|k| {
-                let before = &ring3.node_names()[ring3.primary_for(k)];
-                let after = &ring4.node_names()[ring4.primary_for(k)];
+                let before = &ring3.node_names()[ring3.replicas_for(k)[0]];
+                let after = &ring4.node_names()[ring4.replicas_for(k)[0]];
                 before != after
             })
             .count();
@@ -304,8 +270,8 @@ mod tests {
         // Survivors keep their relative order: a stays index 0, c becomes 1.
         assert_eq!(ring2.node_names(), &["a".to_string(), "c".to_string()]);
         for k in keys(2000) {
-            let before = &ring3.node_names()[ring3.primary_for(&k)];
-            let after = &ring2.node_names()[ring2.primary_for(&k)];
+            let before = &ring3.node_names()[ring3.replicas_for(&k)[0]];
+            let after = &ring2.node_names()[ring2.replicas_for(&k)[0]];
             if before != "b" {
                 assert_eq!(before, after, "keys not owned by b must not move");
             } else {
@@ -323,7 +289,6 @@ mod tests {
         for k in keys(500) {
             let replicas = ring.replicas_for(&k);
             assert_eq!(replicas.len(), 3);
-            assert_eq!(replicas[0], ring.primary_for(&k));
             let mut sorted = replicas.clone();
             sorted.sort_unstable();
             sorted.dedup();
@@ -350,8 +315,7 @@ mod tests {
             .replication(2)
             .build(1);
         for k in keys(500) {
-            assert_eq!(r1.primary_for(&k), r2.primary_for(&k));
-            assert_eq!(r2.replicas_for(&k)[0], r1.primary_for(&k));
+            assert_eq!(r2.replicas_for(&k)[0], r1.replicas_for(&k)[0]);
         }
     }
 

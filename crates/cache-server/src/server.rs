@@ -38,13 +38,11 @@
 //! * **Graceful shutdown**: [`TxcachedServer::shutdown`] stops the accept
 //!   loop, shuts every open connection down, and joins all threads; dropping
 //!   the server does the same, so tests cannot leak threads.
-//! * **Per-connection and per-node counters**: every connection tracks its
-//!   own request and byte counts (kept in a bounded log of closed
-//!   connections), and the node-wide totals are visible through
-//!   [`TxcachedServer::stats`] as well as remotely via
+//! * **Node-wide counters**: connections, requests and bytes are visible
+//!   through [`TxcachedServer::stats`] as well as remotely via
 //!   [`wire::Request::Stats`].
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -60,9 +58,6 @@ use wire::{
 use crate::entry::LookupRequest;
 use crate::node::{CacheNode, NodeConfig};
 use crate::telemetry::{self, ServerObs};
-
-/// How many closed-connection summaries the server retains.
-const CONNECTION_LOG_CAP: usize = 64;
 
 /// Node-wide protocol counters (distinct from the cache's own
 /// [`crate::CacheStats`], which count lookups/insertions/invalidations).
@@ -122,19 +117,6 @@ impl ServerCounters {
     }
 }
 
-/// What one finished connection did, kept in the server's bounded log.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ConnectionSummary {
-    /// The client's address.
-    pub peer: String,
-    /// Requests the connection served.
-    pub requests: u64,
-    /// Bytes read from the client.
-    pub bytes_in: u64,
-    /// Bytes written to the client.
-    pub bytes_out: u64,
-}
-
 pub(crate) struct Shared {
     pub(crate) node: CacheNode,
     pub(crate) counters: ServerCounters,
@@ -150,16 +132,6 @@ pub(crate) struct Shared {
     /// exit, so the map never outgrows the live connection count.
     pub(crate) open_conns: Mutex<HashMap<u64, Closer>>,
     pub(crate) handlers: Mutex<Vec<JoinHandle<()>>>,
-    pub(crate) closed_log: Mutex<VecDeque<ConnectionSummary>>,
-}
-
-/// Appends one finished connection to the bounded closed-connection log.
-pub(crate) fn log_closed(shared: &Shared, summary: ConnectionSummary) {
-    let mut log = shared.closed_log.lock();
-    if log.len() == CONNECTION_LOG_CAP {
-        log.pop_front();
-    }
-    log.push_back(summary);
 }
 
 /// A running `txcached` server behind some [`Listener`] — a TCP address in
@@ -199,7 +171,6 @@ impl TxcachedServer<TcpListener> {
             shutting_down: AtomicBool::new(false),
             open_conns: Mutex::new(HashMap::new()),
             handlers: Mutex::new(Vec::new()),
-            closed_log: Mutex::new(VecDeque::new()),
         });
         let event_loop = crate::event_loop::spawn(listener, Arc::clone(&shared))?;
         Ok(TxcachedServer {
@@ -242,7 +213,6 @@ impl<L: Listener> TxcachedServer<L> {
             shutting_down: AtomicBool::new(false),
             open_conns: Mutex::new(HashMap::new()),
             handlers: Mutex::new(Vec::new()),
-            closed_log: Mutex::new(VecDeque::new()),
         });
         let accept_shared = Arc::clone(&shared);
         let accept = std::thread::Builder::new()
@@ -309,12 +279,6 @@ impl<L: Listener> TxcachedServer<L> {
     /// Adjusts the slow-op capture threshold at runtime (microseconds).
     pub fn set_slow_op_threshold_us(&self, us: u64) {
         self.shared.obs.slow_ops.set_threshold_us(us);
-    }
-
-    /// Summaries of recently closed connections (most recent last, bounded).
-    #[must_use]
-    pub fn connection_log(&self) -> Vec<ConnectionSummary> {
-        self.shared.closed_log.lock().iter().cloned().collect()
     }
 
     /// Number of currently open connections.
@@ -404,19 +368,15 @@ fn accept_loop<L: Listener>(listener: &L, shared: &Arc<Shared>) {
     }
 }
 
-/// A transport adapter that counts bytes into the per-connection tallies and
-/// the node-wide counters.
+/// A transport adapter that counts bytes into the node-wide counters.
 struct CountingStream<'a, T> {
     inner: T,
     counters: &'a ServerCounters,
-    bytes_in: u64,
-    bytes_out: u64,
 }
 
 impl<T: Read> Read for CountingStream<'_, T> {
     fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
         let n = self.inner.read(buf)?;
-        self.bytes_in += n as u64;
         self.counters.bytes_in.add(n as u64);
         Ok(n)
     }
@@ -425,7 +385,6 @@ impl<T: Read> Read for CountingStream<'_, T> {
 impl<T: Write> Write for CountingStream<'_, T> {
     fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
         let n = self.inner.write(buf)?;
-        self.bytes_out += n as u64;
         self.counters.bytes_out.add(n as u64);
         Ok(n)
     }
@@ -436,15 +395,10 @@ impl<T: Write> Write for CountingStream<'_, T> {
 }
 
 fn handle_connection<T: Transport>(conn_id: u64, stream: T, shared: &Arc<Shared>) {
-    let peer = stream.peer_label();
-    let counting = CountingStream {
+    let mut framed = FramedStream::new(CountingStream {
         inner: stream,
         counters: &shared.counters,
-        bytes_in: 0,
-        bytes_out: 0,
-    };
-    let mut framed = FramedStream::new(counting);
-    let mut requests = 0u64;
+    });
 
     loop {
         if shared.shutting_down.load(Ordering::SeqCst) {
@@ -460,7 +414,6 @@ fn handle_connection<T: Transport>(conn_id: u64, stream: T, shared: &Arc<Shared>
         };
         let response = match decoded {
             Ok(request) => {
-                requests += 1;
                 shared.counters.requests.bump();
                 telemetry::apply_timed(shared, request, shared.obs.trace(seq))
             }
@@ -474,7 +427,6 @@ fn handle_connection<T: Transport>(conn_id: u64, stream: T, shared: &Arc<Shared>
         }
     }
 
-    let counting = framed.into_inner();
     // Release the registered closer now: leaving it in the registry would
     // keep the connection's resources alive and leak one entry per
     // connection.
@@ -482,15 +434,6 @@ fn handle_connection<T: Transport>(conn_id: u64, stream: T, shared: &Arc<Shared>
         closer.close();
     }
     shared.counters.connections_closed.bump();
-    log_closed(
-        shared,
-        ConnectionSummary {
-            peer,
-            requests,
-            bytes_in: counting.bytes_in,
-            bytes_out: counting.bytes_out,
-        },
-    );
 }
 
 pub(crate) fn error_frame(e: &WireError) -> Response {
@@ -712,9 +655,6 @@ mod tests {
         assert_eq!(stats.connections_accepted, 1);
         assert_eq!(stats.requests, 4);
         assert!(stats.bytes_in > 0 && stats.bytes_out > 0);
-        let log = srv.connection_log();
-        assert_eq!(log.len(), 1);
-        assert_eq!(log[0].requests, 4);
     }
 
     #[test]
@@ -907,6 +847,45 @@ mod tests {
         // The server side is gone: the next call fails or yields EOF.
         let result = conn.call(&Request::Ping { nonce: 2 });
         assert!(result.is_err());
+    }
+
+    #[test]
+    fn shutdown_returns_while_pipelined_puts_are_in_flight() {
+        // Workers write the reactor's wake pipe as each put completes, so a
+        // shutdown that lands mid-burst races their wake bytes with its own.
+        // Every shutdown must return; the watchdog fails the test instead of
+        // letting a lost wake-up park it in `join` forever.
+        const ROUNDS: usize = 300;
+        let (progress_tx, progress_rx) = std::sync::mpsc::channel();
+        let looper = std::thread::spawn(move || {
+            for round in 0..ROUNDS {
+                let mut srv = server();
+                let mut conn = client(&srv);
+                for i in 0..32 {
+                    conn.send_request(&Request::Put {
+                        key: CacheKey::new("f", format!("[{i}]")),
+                        value: Bytes::from_static(b"v"),
+                        validity: ValidityInterval::unbounded(Timestamp(1)),
+                        tags: tags(i),
+                        now: WallClock::ZERO,
+                    })
+                    .unwrap();
+                }
+                srv.shutdown();
+                progress_tx.send(round).unwrap();
+            }
+        });
+        for round in 0..ROUNDS {
+            match progress_rx.recv_timeout(std::time::Duration::from_secs(5)) {
+                Ok(done) => assert_eq!(done, round),
+                Err(std::sync::mpsc::RecvTimeoutError::Timeout) => {
+                    panic!("shutdown hung for 5 s in round {round}")
+                }
+                // The loop thread panicked; joining it reports why.
+                Err(std::sync::mpsc::RecvTimeoutError::Disconnected) => break,
+            }
+        }
+        looper.join().expect("shutdown loop failed");
     }
 
     #[test]

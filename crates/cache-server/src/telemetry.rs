@@ -25,44 +25,6 @@ use crate::server::{apply_request, Shared};
 /// How many slow operations the flight recorder retains.
 const SLOW_OP_RING_CAP: usize = 64;
 
-/// Request opcodes, in the order of [`op_index`]. One latency histogram per
-/// opcode: mixing a 4 µs ping with a 4 ms multiget in one distribution
-/// would hide both.
-pub(crate) const OP_LABELS: [&str; 13] = [
-    "ping",
-    "get",
-    "put",
-    "multi_get",
-    "multi_put",
-    "inval_batch",
-    "evict_stale",
-    "stats",
-    "shard_stats",
-    "reset_stats",
-    "seal",
-    "ring_epoch",
-    "metrics",
-];
-
-/// The slot in [`OP_LABELS`] (and the histogram bank) for a request.
-pub(crate) fn op_index(request: &Request) -> usize {
-    match request {
-        Request::Ping { .. } => 0,
-        Request::VersionedGet { .. } => 1,
-        Request::Put { .. } => 2,
-        Request::MultiGet { .. } => 3,
-        Request::MultiPut { .. } => 4,
-        Request::InvalidationBatch { .. } => 5,
-        Request::EvictStale { .. } => 6,
-        Request::Stats => 7,
-        Request::ShardStats => 8,
-        Request::ResetStats => 9,
-        Request::SealStillValid => 10,
-        Request::RingEpoch { .. } => 11,
-        Request::Metrics => 12,
-    }
-}
-
 /// The server's observability state, shared by every connection.
 #[derive(Debug)]
 pub(crate) struct ServerObs {
@@ -75,9 +37,10 @@ pub(crate) struct ServerObs {
     /// `disable_seal_on_heal_for_fault_injection`).
     pub(crate) inject_delay_us: u64,
     pub(crate) registry: Registry,
-    /// Cached handles, indexed by [`op_index`]: the hot path never touches
-    /// the registry lock.
-    req_us: [Arc<Histogram>; OP_LABELS.len()],
+    /// Cached handles, one per opcode (mixing a 4 µs ping with a 4 ms
+    /// multiget in one distribution would hide both), indexed by
+    /// [`Request::op_index`]: the hot path never touches the registry lock.
+    req_us: [Arc<Histogram>; Request::LABELS.len()],
     pub(crate) queue_depth: Arc<Gauge>,
     pub(crate) backpressure_pauses: Arc<StripedCounter>,
     slow_ops_captured: Arc<StripedCounter>,
@@ -87,8 +50,9 @@ pub(crate) struct ServerObs {
 impl ServerObs {
     pub(crate) fn new(config: &NodeConfig) -> ServerObs {
         let registry = Registry::new();
-        let req_us =
-            std::array::from_fn(|i| registry.histogram(&format!("server.req.{}.us", OP_LABELS[i])));
+        let req_us = std::array::from_fn(|i| {
+            registry.histogram(&format!("server.req.{}.us", Request::LABELS[i]))
+        });
         let queue_depth = registry.gauge("server.queue.depth");
         let backpressure_pauses = registry.counter("server.backpressure.pauses");
         let slow_ops_captured = registry.counter("server.slow_ops.captured");
@@ -130,7 +94,7 @@ pub(crate) fn apply_timed(shared: &Shared, request: Request, trace: Option<Trace
         std::thread::sleep(std::time::Duration::from_micros(shared.obs.inject_delay_us));
         trace.span("injected_delay");
     }
-    let op = op_index(&request);
+    let op = request.op_index();
     let response = apply_request(shared, request);
     // One clock read serves the "applied" span, the latency histogram, and
     // the slow-op threshold check.
@@ -140,7 +104,7 @@ pub(crate) fn apply_timed(shared: &Shared, request: Request, trace: Option<Trace
     if shared
         .obs
         .slow_ops
-        .observe_at(OP_LABELS[op], trace, total_us)
+        .observe_at(Request::LABELS[op], trace, total_us)
     {
         shared.obs.slow_ops_captured.bump();
     }
@@ -225,11 +189,20 @@ mod tests {
 
     #[test]
     fn op_labels_are_distinct_and_indexed_consistently() {
-        let unique: std::collections::HashSet<&str> = OP_LABELS.iter().copied().collect();
-        assert_eq!(unique.len(), OP_LABELS.len());
-        assert_eq!(op_index(&Request::Ping { nonce: 0 }), 0);
-        assert_eq!(OP_LABELS[op_index(&Request::Stats)], "stats");
-        assert_eq!(OP_LABELS[op_index(&Request::Metrics)], "metrics");
+        // One histogram per opcode, under the frozen `server.req.<op>.us`
+        // names, each reached through the request's own slot.
+        let obs = ServerObs::new(&NodeConfig::default());
+        let snap = obs.registry.snapshot();
+        let per_op = snap
+            .histograms
+            .iter()
+            .filter(|(name, _)| name.starts_with("server.req."))
+            .count();
+        assert_eq!(per_op, Request::LABELS.len());
+        obs.req_us[Request::Metrics.op_index()].record(7);
+        let snap = obs.registry.snapshot();
+        assert_eq!(snap.histogram("server.req.metrics.us").unwrap().count, 1);
+        assert_eq!(snap.histogram("server.req.stats.us").unwrap().count, 0);
     }
 
     #[test]

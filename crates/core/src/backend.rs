@@ -6,8 +6,8 @@
 //! boundary so both deployments run the *same* client library:
 //!
 //! * [`cache_server::CacheCluster`] implements the trait directly — the
-//!   original in-process configuration, still the default, with no lock of
-//!   its own in front of the sharded nodes;
+//!   original in-process configuration, still the default: a ring fixed at
+//!   construction, with no lock of its own in front of the sharded nodes;
 //! * [`RemoteCluster`] speaks the `wire` protocol to a set of `txcached`
 //!   servers, with one pooled connection per consistent-hash-ring node.
 //!
@@ -71,7 +71,8 @@
 //! clients or peers.
 //!
 //! Membership changes at runtime ([`RemoteCluster::join_node`] /
-//! [`RemoteCluster::leave_node`]) publish the next ring epoch and announce
+//! [`RemoteCluster::leave_node`], the workspace's one membership
+//! implementation) publish the next ring epoch and announce
 //! it to every node (`RingEpoch`). Epoch-stamped batches from a client still
 //! routing on an older ring draw a typed [`wire::Response::WrongEpoch`]
 //! redirect ([`RemoteCluster::wrong_epoch_redirects`]) instead of silently
@@ -287,45 +288,6 @@ impl Default for RemoteOptions {
 /// practical socket-buffer size.
 const MAX_PENDING_PUTS: u32 = 64;
 
-/// Client-side opcode labels, indexed by [`client_op_index`]; the same
-/// naming as the server's per-opcode histograms, so a scrape of the client
-/// and a scrape of the node line up (`client.rtt.get.us` against
-/// `server.req.get.us` is the network's share of the latency).
-const CLIENT_OP_LABELS: [&str; 13] = [
-    "ping",
-    "get",
-    "put",
-    "multi_get",
-    "multi_put",
-    "inval_batch",
-    "evict_stale",
-    "stats",
-    "shard_stats",
-    "reset_stats",
-    "seal",
-    "ring_epoch",
-    "metrics",
-];
-
-/// A request's slot in [`CLIENT_OP_LABELS`] and the RTT histogram bank.
-fn client_op_index(request: &Request) -> usize {
-    match request {
-        Request::Ping { .. } => 0,
-        Request::VersionedGet { .. } => 1,
-        Request::Put { .. } => 2,
-        Request::MultiGet { .. } => 3,
-        Request::MultiPut { .. } => 4,
-        Request::InvalidationBatch { .. } => 5,
-        Request::EvictStale { .. } => 6,
-        Request::Stats => 7,
-        Request::ShardStats => 8,
-        Request::ResetStats => 9,
-        Request::SealStillValid => 10,
-        Request::RingEpoch { .. } => 11,
-        Request::Metrics => 12,
-    }
-}
-
 /// The client's observability registry: the cluster's failure and
 /// degradation counters, and one round-trip latency histogram per opcode,
 /// recorded from just before a frame is written to just after its response
@@ -335,8 +297,10 @@ fn client_op_index(request: &Request) -> usize {
 /// and never touches the registry lock.
 struct ClientObs {
     registry: Registry,
-    /// Indexed by [`client_op_index`].
-    rtt_us: [Arc<Histogram>; CLIENT_OP_LABELS.len()],
+    /// Indexed by [`Request::op_index`]; the same names as the node's
+    /// per-opcode histograms, so `client.rtt.get.us` against
+    /// `server.req.get.us` is the network's share of the latency.
+    rtt_us: [Arc<Histogram>; Request::LABELS.len()],
     // Each documented on the `RemoteCluster` accessor that reads it.
     degraded: Arc<StripedCounter>,
     reconnects: Arc<StripedCounter>,
@@ -353,7 +317,7 @@ impl ClientObs {
         let registry = Registry::new();
         ClientObs {
             rtt_us: std::array::from_fn(|i| {
-                registry.histogram(&format!("client.rtt.{}.us", CLIENT_OP_LABELS[i]))
+                registry.histogram(&format!("client.rtt.{}.us", Request::LABELS[i]))
             }),
             degraded: registry.counter("client.degraded.ops"),
             reconnects: registry.counter("client.reconnects"),
@@ -448,7 +412,7 @@ fn reply_fits(request: &Request, response: &Response) -> bool {
 }
 
 fn unexpected_reply(request: &Request, response: &Response) -> wire::WireError {
-    let op = CLIENT_OP_LABELS[client_op_index(request)];
+    let op = request.label();
     io_error(
         ErrorKind::InvalidData,
         format!("unexpected {op} reply: {response:?}"),
@@ -998,7 +962,7 @@ impl<C: Connector> RemoteCluster<C> {
             })();
             match received {
                 Ok(response) => {
-                    self.obs.record(client_op_index(request), started);
+                    self.obs.record(request.op_index(), started);
                     // Any answer ends the failure streak and promotes a
                     // demoted node back.
                     node.consecutive_failures.store(0, Ordering::Relaxed);
@@ -1304,8 +1268,11 @@ mod tests {
 
     #[test]
     fn client_op_labels_are_distinct_and_indexed_consistently() {
-        let unique: std::collections::HashSet<&str> = CLIENT_OP_LABELS.iter().copied().collect();
-        assert_eq!(unique.len(), CLIENT_OP_LABELS.len());
+        // One histogram per opcode, under the frozen `client.rtt.<op>.us`
+        // names, each reached through the request's own slot.
+        let obs = ClientObs::new();
+        let snap = obs.registry.snapshot();
+        assert_eq!(snap.histograms.len(), Request::LABELS.len());
         let multi_get = Request::MultiGet {
             epoch: 1,
             keys: Vec::new(),
@@ -1313,14 +1280,16 @@ mod tests {
             pinset_hi: Timestamp(0),
             freshness_lo: Timestamp(0),
         };
-        assert_eq!(CLIENT_OP_LABELS[client_op_index(&multi_get)], "multi_get");
-        assert_eq!(CLIENT_OP_LABELS[client_op_index(&Request::Stats)], "stats");
+        obs.record(multi_get.op_index(), Instant::now());
+        let snap = obs.registry.snapshot();
+        assert_eq!(snap.histogram("client.rtt.multi_get.us").unwrap().count, 1);
+        assert_eq!(snap.histogram("client.rtt.get.us").unwrap().count, 0);
     }
 
     #[test]
     fn rtt_histograms_register_under_the_client_namespace() {
         let obs = ClientObs::new();
-        obs.record(client_op_index(&Request::Stats), Instant::now());
+        obs.record(Request::Stats.op_index(), Instant::now());
         let snap = obs.registry.snapshot();
         let hist = snap
             .histogram("client.rtt.stats.us")

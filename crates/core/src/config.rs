@@ -1,7 +1,5 @@
 //! Client-library configuration.
 
-use txtypes::Staleness;
-
 /// How the library uses the cache. The non-default modes exist to reproduce
 //  the baselines in the paper's evaluation (§8).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -61,8 +59,6 @@ pub struct TxCacheConfig {
     /// prefer pinning a fresh snapshot over reusing it (the "5 second" rule
     /// of §6.2, balancing snapshot count against data freshness).
     pub pin_reuse_threshold_micros: u64,
-    /// Staleness limit used when the application does not specify one.
-    pub default_staleness: Staleness,
 }
 
 impl Default for TxCacheConfig {
@@ -72,7 +68,6 @@ impl Default for TxCacheConfig {
             backend: BackendKind::InProcess,
             policy: TimestampPolicy::Lazy,
             pin_reuse_threshold_micros: 5_000_000,
-            default_staleness: Staleness::seconds(30),
         }
     }
 }
@@ -108,7 +103,6 @@ mod tests {
         assert_eq!(c.backend, BackendKind::InProcess);
         assert_eq!(c.policy, TimestampPolicy::Lazy);
         assert_eq!(c.pin_reuse_threshold_micros, 5_000_000);
-        assert_eq!(c.default_staleness, Staleness::seconds(30));
     }
 
     #[test]

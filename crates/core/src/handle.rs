@@ -128,11 +128,6 @@ impl TxCache {
         Transaction::new_read_only(self, staleness)
     }
 
-    /// Begins a read-only transaction with the configured default staleness.
-    pub fn begin_ro_default(&self) -> Result<Transaction<'_>> {
-        self.begin_ro(self.config.default_staleness)
-    }
-
     /// Begins a read/write transaction (`BEGIN-RW` in Figure 2). Read/write
     /// transactions bypass the cache entirely and run directly on the
     /// database (§2.2).

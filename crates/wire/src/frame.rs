@@ -186,12 +186,6 @@ impl<S: Read + Write> FramedStream<S> {
         self.stream
     }
 
-    /// Borrows the underlying transport (e.g. to adjust socket timeouts).
-    #[must_use]
-    pub fn get_ref(&self) -> &S {
-        &self.stream
-    }
-
     /// Mutably borrows the underlying transport, for callers that need to
     /// read or write raw frames alongside the typed helpers.
     #[must_use]
@@ -271,12 +265,6 @@ impl<S: Read + Write> FramedStream<S> {
     #[must_use]
     pub fn pending_count(&self) -> usize {
         self.pending.len()
-    }
-
-    /// The oldest outstanding correlation id, if any request is in flight.
-    #[must_use]
-    pub fn oldest_pending(&self) -> Option<u64> {
-        self.pending.first().copied()
     }
 
     /// Reads frames until one matches *some* pending request, returning

@@ -156,16 +156,6 @@ pub enum WireError {
     },
 }
 
-impl WireError {
-    /// Returns `true` if the error came from the transport (connection reset,
-    /// timeout) rather than from malformed data; transport errors are the
-    /// ones a client may heal by reconnecting.
-    #[must_use]
-    pub fn is_transport(&self) -> bool {
-        matches!(self, WireError::Io(_))
-    }
-}
-
 impl fmt::Display for WireError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {

@@ -587,6 +587,55 @@ pub enum Request {
 }
 
 impl Request {
+    /// Every request opcode's metric label, indexed by
+    /// [`Request::op_index`]. The client's `client.rtt.<label>.us` and the
+    /// node's `server.req.<label>.us` histograms share these names, so the
+    /// two scrapes line up (their difference is the network's share).
+    pub const LABELS: [&'static str; 13] = [
+        "ping",
+        "get",
+        "put",
+        "multi_get",
+        "multi_put",
+        "inval_batch",
+        "evict_stale",
+        "stats",
+        "shard_stats",
+        "reset_stats",
+        "seal",
+        "ring_epoch",
+        "metrics",
+    ];
+
+    /// This request's slot in [`Request::LABELS`] (and in any bank of
+    /// per-opcode metrics).
+    #[inline]
+    #[must_use]
+    pub fn op_index(&self) -> usize {
+        match self {
+            Request::Ping { .. } => 0,
+            Request::VersionedGet { .. } => 1,
+            Request::Put { .. } => 2,
+            Request::MultiGet { .. } => 3,
+            Request::MultiPut { .. } => 4,
+            Request::InvalidationBatch { .. } => 5,
+            Request::EvictStale { .. } => 6,
+            Request::Stats => 7,
+            Request::ShardStats => 8,
+            Request::ResetStats => 9,
+            Request::SealStillValid => 10,
+            Request::RingEpoch { .. } => 11,
+            Request::Metrics => 12,
+        }
+    }
+
+    /// This request's metric label.
+    #[inline]
+    #[must_use]
+    pub fn label(&self) -> &'static str {
+        Request::LABELS[self.op_index()]
+    }
+
     /// Encodes the request into a frame body.
     #[must_use]
     pub fn encode(&self) -> Vec<u8> {
@@ -1209,6 +1258,19 @@ mod tests {
                 message: "bad frame".into(),
             },
         ]
+    }
+
+    #[test]
+    fn request_labels_are_distinct_and_cover_every_opcode() {
+        let unique: std::collections::HashSet<&str> = Request::LABELS.iter().copied().collect();
+        assert_eq!(unique.len(), Request::LABELS.len());
+        let slots: std::collections::BTreeSet<usize> =
+            all_requests().iter().map(Request::op_index).collect();
+        assert_eq!(slots.len(), Request::LABELS.len(), "every slot is reached");
+        assert_eq!(Request::Ping { nonce: 0 }.label(), "ping");
+        assert_eq!(Request::Stats.label(), "stats");
+        assert_eq!(Request::Metrics.label(), "metrics");
+        assert_eq!(Request::SealStillValid.label(), "seal");
     }
 
     #[test]

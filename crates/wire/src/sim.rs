@@ -854,10 +854,6 @@ impl Transport for SimConn {
         *self.timeout.lock().expect("timeout lock") = timeout;
         Ok(())
     }
-
-    fn peer_label(&self) -> String {
-        self.label.clone()
-    }
 }
 
 #[cfg(test)]

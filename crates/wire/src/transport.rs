@@ -56,10 +56,6 @@ pub trait Transport: Read + Write + Send + std::fmt::Debug + 'static {
     /// [`std::io::ErrorKind::WouldBlock`] or
     /// [`std::io::ErrorKind::TimedOut`].
     fn set_io_timeout(&self, timeout: Option<Duration>) -> std::io::Result<()>;
-
-    /// A human-readable label of the peer, for logs and connection
-    /// summaries.
-    fn peer_label(&self) -> String;
 }
 
 /// An accept loop's source of incoming [`Transport`] connections.
@@ -104,11 +100,6 @@ impl Transport for TcpStream {
     fn set_io_timeout(&self, timeout: Option<Duration>) -> std::io::Result<()> {
         self.set_read_timeout(timeout)?;
         self.set_write_timeout(timeout)
-    }
-
-    fn peer_label(&self) -> String {
-        self.peer_addr()
-            .map_or_else(|_| "unknown".to_string(), |a| a.to_string())
     }
 }
 

@@ -96,10 +96,6 @@ impl Transport for RecordingConn {
     fn set_io_timeout(&self, timeout: Option<Duration>) -> std::io::Result<()> {
         self.inner.set_io_timeout(timeout)
     }
-
-    fn peer_label(&self) -> String {
-        self.inner.peer_label()
-    }
 }
 
 fn key(i: usize) -> CacheKey {
